@@ -11,6 +11,8 @@ LOG_FLOOR so losses on probabilities that reach 0 stay finite.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 LOG_FLOOR = 1e-12
@@ -35,7 +37,7 @@ class NonFiniteError(FloatingPointError):
 class Tape:
     """Records (output, backward_closure) pairs in execution order."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes = []
@@ -567,6 +569,50 @@ def attention(q, k, v, n_heads=1, key_mask=None):
             if v.requires_grad:
                 _acc(v, _unbcast(merge(p.swapaxes(-1, -2) @ gh), v.data.shape))
         _record(out, _bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# gradient routing
+# ---------------------------------------------------------------------------
+
+def tape_mark():
+    """Position on the active tape (None without one), for sever()."""
+    return None if _tape is None else len(_tape.nodes)
+
+
+def sever(x, cut, since):
+    """Identity whose backward keeps its gradient away from `cut`.
+
+    `x` must have been computed after tape_mark() returned `since`. The
+    incoming gradient is swept at once through the nodes recorded since
+    then: gradients already parked on those nodes are set aside and
+    restored afterwards, contributions landing on `cut` are dropped, and
+    tensors upstream of `since` (inputs, parameters) accumulate as usual.
+    The sweep calls the tape entries as they stand at backward time.
+    """
+    x = as_tensor(x)
+    if _tape is None or not x.requires_grad:
+        return x
+    # a weak reference, so the tape holding this closure stays acyclic and
+    # is freed as soon as its step ends
+    tape, stop = weakref.ref(_tape), len(_tape.nodes)
+    out = _wrap(x.data, True, "sever")
+
+    def _bw(g, x=x, cut=cut, tape=tape, since=since, stop=stop):
+        span = tape().nodes[since:stop]
+        kept = cut.grad
+        parked = [t.grad for t, _ in span]
+        for t, _ in span:
+            t.grad = None
+        _acc(x, g)
+        for t, fn in reversed(span):
+            if t.grad is not None:
+                fn(t.grad)
+        for (t, _), p in zip(span, parked):
+            t.grad = p
+        cut.grad = kept
+    _record(out, _bw)
     return out
 
 

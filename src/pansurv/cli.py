@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import attribution, bags, survival as sv, synthetic as sg, training as tr
-from .model import load_checkpoint
+from .model import ModelError, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
@@ -289,7 +289,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (tr.TrainingError, sg.SpecError, sv.SurvivalError) as exc:
+    except (tr.TrainingError, sg.SpecError, sv.SurvivalError, ModelError,
+            bags.BinningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -4,8 +4,11 @@ transformer decoding.
 The Sinkhorn solver runs in the log domain and is exposed two ways: as a
 plain solver returning a TransportPlan, and as a differentiable graph
 primitive whose backward replays the executed iterations in reverse
-(unrolled-iteration gradients). The ground cost is 1 - cosine similarity on
-a shared learned projection; marginals are uniform.
+(unrolled-iteration gradients). The forward keeps, per iteration, the
+scaled matrices (f - C)/eps and (g - C)/eps with their log-sum-exps, so the
+replay reuses them instead of recomputing (same expressions, same bits).
+The ground cost is 1 - cosine similarity on a shared learned projection;
+marginals are uniform.
 """
 
 from __future__ import annotations
@@ -63,11 +66,14 @@ def _sinkhorn_iterate(C, mu, nu, eps, max_iter, tol, keep_history):
     viol = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        f_prev = f
-        g = eps * (log_nu - _logsumexp((f_prev[:, None] - C) / eps, axis=0))
-        f = eps * (log_mu - _logsumexp((g[None, :] - C) / eps, axis=1))
+        A = (f[:, None] - C) / eps
+        lA = _logsumexp(A, axis=0)
+        g = eps * (log_nu - lA)
+        B = (g[None, :] - C) / eps
+        lB = _logsumexp(B, axis=1)
+        f = eps * (log_mu - lB)
         if keep_history:
-            history.append((f_prev, g))
+            history.append((A, lA, B, lB))
         P = np.exp((f[:, None] + g[None, :] - C) / eps)
         viol = max(np.abs(P.sum(axis=0) - nu).max(),
                    np.abs(P.sum(axis=1) - mu).max())
@@ -106,19 +112,17 @@ def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
         C, mu, nu, eps, max_iter, tol, cost.requires_grad)
     out = ad._wrap(P, cost.requires_grad, "sinkhorn")
     if out.requires_grad:
-        def _bw(G, cost=cost, C=C, P=P, history=history, eps=eps):
+        def _bw(G, cost=cost, P=P, history=history, eps=eps):
             dE = G * P
             dC = -dE / eps
             df = dE.sum(axis=1) / eps
             dg = dE.sum(axis=0) / eps
-            for f_prev, g in reversed(history):
-                B = (g[None, :] - C) / eps
-                sB = np.exp(B - _logsumexp(B, axis=1)[:, None])
+            for A, lA, B, lB in reversed(history):
+                sB = np.exp(B - lB[:, None])
                 T1 = df[:, None] * sB
                 dC += T1
                 dg = dg - T1.sum(axis=0)
-                A = (f_prev[:, None] - C) / eps
-                sA = np.exp(A - _logsumexp(A, axis=0)[None, :])
+                sA = np.exp(A - lA[None, :])
                 T2 = sA * dg[None, :]
                 dC += T2
                 df = -T2.sum(axis=1)

@@ -4,9 +4,10 @@ pass, and checkpoint persistence.
 A Model is a flat name->Tensor dict plus the metadata needed to rebuild it
 (dimensions, cancer vocabulary, time-bin edges, text-table seed). The
 forward pass wires encoders -> OT fusion (image<->text, genomic<->text) ->
-GMoE hazards + agent logits. During training the agent head consumes fused
-features recomputed from detached text embeddings: values are identical,
-but the cancer-classification loss cannot reach the text adapter.
+GMoE hazards + agent logits. The fusion runs once; the agent head reads
+the fused features through a gradient cut (autodiff.sever), so the
+cancer-classification loss trains the fusion and the image/genomic
+encoders but never reaches the text adapter.
 
 Checkpoint format: magic "UMPS1\n", an 8-byte little-endian manifest
 length, a JSON manifest (meta + tensor names/shapes/dtypes/offsets), then
@@ -172,33 +173,27 @@ def forward(model: Model, prep: PatientPrep, need_agent: bool = True,
     patch_feats, patch_tokens = encoders.project_patches(
         patches if patches is not None else prep.patches, p)
 
-    def fuse(txt_feats):
-        aligned_p, plan_p = fusion.ot_align(
-            patch_feats, txt_feats, p, "fuse_p", eps=meta.sinkhorn_eps,
+    mark = ad.tape_mark()
+    fused, plans = {}, {}
+    for key, src in (("p", patch_feats), ("g", gen_feats)):
+        aligned, plans[key] = fusion.ot_align(
+            src, txt, p, f"fuse_{key}", eps=meta.sinkhorn_eps,
             max_iter=meta.sinkhorn_max_iter, tol=meta.sinkhorn_tol)
-        fused_p = fusion.text_guided_decode(txt_feats, aligned_p, p, "fuse_p",
-                                            n_heads=meta.n_heads)
-        aligned_g, plan_g = fusion.ot_align(
-            gen_feats, txt_feats, p, "fuse_g", eps=meta.sinkhorn_eps,
-            max_iter=meta.sinkhorn_max_iter, tol=meta.sinkhorn_tol)
-        fused_g = fusion.text_guided_decode(txt_feats, aligned_g, p, "fuse_g",
-                                            n_heads=meta.n_heads)
-        return fused_p, fused_g, {"p": plan_p, "g": plan_g}
-
-    fused_p, fused_g, plans = fuse(txt)
+        fused[key] = fusion.text_guided_decode(txt, aligned, p, f"fuse_{key}",
+                                               n_heads=meta.n_heads)
+    fused_p, fused_g = fused["p"], fused["g"]
+    # the agent reads the fused rows through a gradient cut: L_ce sweeps
+    # back through the fusion nodes recorded since `mark` and stops at
+    # `txt`, so it trains the fusion and the image/genomic encoders but
+    # never the text adapter. Cutting here, before the GMoE, keeps the
+    # sweep to the fusion nodes.
+    if need_agent:
+        agent_in = (ad.sever(fused_p, txt, mark), ad.sever(fused_g, txt, mark))
     cancer_emb = ad.reshape(ad.narrow(txt, 0, 1, 1), (meta.d_model,))
     diag_emb = ad.reshape(ad.narrow(txt, 0, 2, 1), (meta.d_model,))
     gmoe_out = moe.gmoe_hazard(fused_p, fused_g, txt, cancer_emb, diag_emb, p,
                                n_heads=meta.n_heads)
-    agent = None
-    if need_agent:
-        if txt.requires_grad:
-            # sever the text path for the agent task: same values, no
-            # gradient from L_ce into the text adapter
-            fused_p_a, fused_g_a, _ = fuse(txt.detach())
-        else:
-            fused_p_a, fused_g_a = fused_p, fused_g
-        agent = moe.agent_logits(fused_p_a, fused_g_a, p)
+    agent = moe.agent_logits(*agent_in, p) if need_agent else None
     return ForwardOutput(
         hazards=gmoe_out.hazards, curve=gmoe_out.curve, agent=agent,
         gate=gmoe_out.gate, txt=txt, fused_p=fused_p, fused_g=fused_g,

@@ -1,5 +1,8 @@
 """Tensor-core unit tests: op semantics, gradients, and the optimizer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +101,101 @@ class TestBackward:
             out = ad.tsum(ad.add(y, y))
         ad.backward(tape, out)
         np.testing.assert_allclose(x.grad, np.full(4, 6.0), atol=1e-15)
+
+
+class TestSever:
+    """ad.sever: identity forward; its backward sweeps the nodes recorded
+    since the mark and drops what reaches the cut."""
+
+    @staticmethod
+    def inputs(rng):
+        return {"u": rng.standard_normal((3, 4)), "wc": rng.standard_normal((4, 4)),
+                "x": rng.standard_normal((3, 4)), "w": rng.standard_normal((4, 2))}
+
+    @staticmethod
+    def build(t, r, severed_cut=None, with_agent=True):
+        """Main loss sum(y^2) plus an agent term sum(r * y) that reads y
+        through sever(); with `severed_cut` the agent instead recomputes y
+        from that constant cut."""
+        cut = ad.sigmoid(ad.matmul(t["u"], t["wc"]))
+        mark = ad.tape_mark()
+
+        def branch(c):
+            return ad.sigmoid(ad.matmul(ad.add(t["x"], c), t["w"]))
+
+        y = branch(cut)
+        agent = ad.sever(y, cut, mark) if severed_cut is None else branch(severed_cut)
+        loss = ad.tsum(ad.mul(y, y))
+        if with_agent:
+            loss = ad.add(loss, ad.tsum(ad.mul(agent, r)))
+        return loss, y
+
+    def test_matches_finite_differences_with_cut_held_constant(self, rng):
+        arrays = self.inputs(rng)
+        r = rng.standard_normal((3, 2))
+        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with ad.tape_scope() as tape:
+            loss, _ = self.build(tensors, r)
+        ad.backward(tape, loss)
+        cut0 = ad.sigmoid(ad.matmul(ad.Tensor(arrays["u"]), ad.Tensor(arrays["wc"])))
+        for name, arr in arrays.items():
+            def f(v, name=name):
+                local = {k: ad.Tensor(a) for k, a in arrays.items()}
+                local[name] = ad.Tensor(v)
+                return self.build(local, r, severed_cut=cut0)[0].item()
+            numeric = ad.numeric_gradient(f, arr)
+            assert max_rel_err(tensors[name].grad, numeric) < 1e-6, name
+
+    def test_parked_gradients_survive_nested_sweep(self, rng):
+        arrays = self.inputs(rng)
+        r = rng.standard_normal((3, 2))
+        grads = []
+        for with_agent in (False, True):
+            tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+            with ad.tape_scope() as tape:
+                loss, y = self.build(tensors, r, with_agent=with_agent)
+            ad.backward(tape, loss)
+            grads.append([t.grad for t, _ in tape.nodes[:4]])  # cut's ops, add, matmul
+            grads[-1].append(y.grad)
+        # every node before the sever keeps the main loss's gradient only
+        for plain, severed in zip(*grads):
+            assert np.array_equal(plain, severed)
+
+    def test_sweep_calls_tape_entries_as_they_stand(self, rng):
+        arrays = self.inputs(rng)
+        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        calls = []
+        with ad.tape_scope() as tape:
+            loss, y = self.build(tensors, rng.standard_normal((3, 2)))
+        i = next(i for i, (t, _) in enumerate(tape.nodes) if t is y)
+        _, fn = tape.nodes[i]
+        tape.nodes[i] = (y, lambda g: (calls.append(g), fn(g)))
+        ad.backward(tape, loss)
+        assert len(calls) == 2  # the nested sweep, then the outer one
+
+    def test_tape_is_freed_without_the_cycle_collector(self, rng):
+        tensors = {k: ad.Tensor(v, requires_grad=True)
+                   for k, v in self.inputs(rng).items()}
+        gc.disable()
+        try:
+            with ad.tape_scope() as tape:
+                loss, _ = self.build(tensors, rng.standard_normal((3, 2)))
+            ad.backward(tape, loss)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_inference_records_nothing(self, rng):
+        x = ad.Tensor(rng.standard_normal((2, 3)))
+        cut = ad.Tensor(rng.standard_normal(3))
+        assert ad.tape_mark() is None
+        out = ad.sever(x, cut, ad.tape_mark())
+        assert np.array_equal(out.data, x.data) and not out.requires_grad
+        with ad.tape_scope() as tape:
+            out = ad.sever(x, cut, ad.tape_mark())
+        assert tape.nodes == [] and np.array_equal(out.data, x.data)
 
 
 class TestElementwiseGradients:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pansurv
 from pansurv import bags
 from pansurv import synthetic as sg
 from pansurv.cli import main
@@ -29,6 +32,22 @@ CONFIG = {
     "folds": 2,
     "sinkhorn_max_iter": 25,
 }
+
+
+def run_cli(*argv):
+    """`pansurv` in a fresh interpreter, so an uncaught error shows as a
+    traceback on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(pansurv.__file__)))
+    return subprocess.run([sys.executable, "-m", "pansurv.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_runtime_error(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +145,24 @@ class TestTrain:
         assert main(["train", "--data", str(workdir / "cohort" / "cohort.jsonl"),
                      "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_collapsed_bin_edges_exit_1(self, workdir, tmp_path):
+        # every patient an event; per cancer four early times, then one
+        # shared late time that collapses the upper quantile edges
+        lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
+        out_lines = []
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            j = i % SPEC["cases_per_cancer"]
+            rec["survival_months"] = float(j + 1) if j < 4 else 50.0
+            rec["censored"] = False
+            out_lines.append(json.dumps(rec))
+        data = tmp_path / "cohort.jsonl"
+        data.write_text("\n".join(out_lines) + "\n")
+        proc = run_cli("train", "--data", data, "--config", workdir / "config.json",
+                       "--folds", "2", "--out", tmp_path / "run")
+        assert_runtime_error(proc)
+        assert "collapse a quantile edge" in proc.stderr
+
 
 class TestEval:
     def test_metrics_schema(self, workdir, tmp_path):
@@ -137,6 +174,16 @@ class TestEval:
         assert {"per_cancer_cindex", "overall_mean_cindex", "logrank_p",
                 "fold_details", "warnings"} <= set(metrics)
         assert set(metrics["per_cancer_cindex"]) == {"BLCA", "BRCA"}
+
+    def test_cancer_outside_vocabulary_exit_1(self, workdir, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, "cancers": ["BLCA", "LUAD"]}))
+        assert main(["synth", "--spec", str(spec_path), "--seed", "7",
+                     "--out", str(tmp_path / "cohort")]) == 0
+        proc = run_cli("eval", "--data", tmp_path / "cohort" / "cohort.jsonl",
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt")
+        assert_runtime_error(proc)
+        assert "LUAD" in proc.stderr
 
 
 class TestExplain:

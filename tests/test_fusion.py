@@ -21,6 +21,40 @@ def long_run_sinkhorn(C, mu, nu, eps, iters=20000):
     return u[:, None] * K * v[None, :]
 
 
+def recomputing_plan_gradient(C, mu, nu, eps, max_iter, tol, G):
+    """Reference replay that recomputes both log-sum-exps per iteration
+    from the stored potentials; returns the plan and d<G, P>/dC."""
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    f = np.zeros(C.shape[0])
+    history = []
+    for _ in range(max_iter):
+        f_prev = f
+        g = eps * (log_nu - fusion._logsumexp((f_prev[:, None] - C) / eps, axis=0))
+        f = eps * (log_mu - fusion._logsumexp((g[None, :] - C) / eps, axis=1))
+        history.append((f_prev, g))
+        P = np.exp((f[:, None] + g[None, :] - C) / eps)
+        viol = max(np.abs(P.sum(axis=0) - nu).max(), np.abs(P.sum(axis=1) - mu).max())
+        if tol > 0 and viol <= tol:
+            break
+    dE = G * P
+    dC = -dE / eps
+    df = dE.sum(axis=1) / eps
+    dg = dE.sum(axis=0) / eps
+    for f_prev, g in reversed(history):
+        B = (g[None, :] - C) / eps
+        sB = np.exp(B - fusion._logsumexp(B, axis=1)[:, None])
+        T1 = df[:, None] * sB
+        dC += T1
+        dg = dg - T1.sum(axis=0)
+        A = (f_prev[:, None] - C) / eps
+        sA = np.exp(A - fusion._logsumexp(A, axis=0)[None, :])
+        T2 = sA * dg[None, :]
+        dC += T2
+        df = -T2.sum(axis=1)
+        dg = np.zeros_like(dg)
+    return P, dC
+
+
 class TestSinkhorn:
     def test_constant_cost_gives_outer_product(self, rng):
         mu = rng.random(5) + 0.1
@@ -114,6 +148,23 @@ class TestSinkhorn:
             return ad.tsum(ad.mul(plan, w))
 
         gradcheck(build, {"C": C}, tol=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("tol,max_iter", [(1e-6, 100), (0.0, 25)])
+    def test_cached_replay_equals_recomputing_replay(self, rng, n, tol, max_iter):
+        C = 1.0 - rng.uniform(-1.0, 1.0, (n, 4))
+        mu, nu = np.full(n, 1.0 / n), np.full(4, 0.25)
+        G = rng.standard_normal((n, 4))
+        cost = ad.Tensor(C, requires_grad=True)
+        with ad.tape_scope() as tape:
+            plan, info = fusion.sinkhorn_plan_op(cost, mu, nu, eps=0.1,
+                                                 max_iter=max_iter, tol=tol)
+            loss = ad.tsum(ad.mul(plan, G))
+        ad.backward(tape, loss)
+        assert info.converged == (tol > 0)
+        P_ref, dC_ref = recomputing_plan_gradient(C, mu, nu, 0.1, max_iter, tol, G)
+        assert np.array_equal(plan.data, P_ref)
+        assert np.array_equal(cost.grad, dC_ref)
 
 
 class TestOtAlign:

@@ -1,11 +1,13 @@
 """Model assembly, checkpointing, and training-loop contracts."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pansurv import autodiff as ad
+from pansurv import encoders, fusion, moe
 from pansurv import survival as sv
 from pansurv import synthetic as sg
 from pansurv import training as tr
@@ -161,6 +163,74 @@ class TestAgentIsolation:
             out = forward(model, prep)
         plain = forward(model, prep)
         np.testing.assert_allclose(out.agent.data, plain.agent.data, atol=1e-12)
+
+
+def two_pass_forward(model, prep):
+    """Oracle: the network with the fusion run twice, the second time on
+    detached text embeddings that feed only the agent head."""
+    meta, p = model.meta, model.params
+    txt = encoders.embed_text_rows(prep.txt_rows, p)
+    gen_feats, _, _ = encoders.encode_genomic_arrays(
+        prep.gen_values, prep.gen_mask, p, n_heads=meta.n_heads)
+    patch_feats, _ = encoders.project_patches(prep.patches, p)
+
+    def fuse(txt_feats):
+        fused = []
+        for src, prefix in ((patch_feats, "fuse_p"), (gen_feats, "fuse_g")):
+            aligned, _ = fusion.ot_align(
+                src, txt_feats, p, prefix, eps=meta.sinkhorn_eps,
+                max_iter=meta.sinkhorn_max_iter, tol=meta.sinkhorn_tol)
+            fused.append(fusion.text_guided_decode(txt_feats, aligned, p, prefix,
+                                                   n_heads=meta.n_heads))
+        return fused
+
+    fused_p, fused_g = fuse(txt)
+    cancer_emb = ad.reshape(ad.narrow(txt, 0, 1, 1), (meta.d_model,))
+    diag_emb = ad.reshape(ad.narrow(txt, 0, 2, 1), (meta.d_model,))
+    gmoe_out = moe.gmoe_hazard(fused_p, fused_g, txt, cancer_emb, diag_emb, p,
+                               n_heads=meta.n_heads)
+    agent = moe.agent_logits(*fuse(txt.detach()), p)
+    return SimpleNamespace(hazards=gmoe_out.hazards, agent=agent)
+
+
+def step_gradients(model, prep, fwd):
+    for t in model.params.values():
+        t.grad = None
+    with ad.tape_scope() as tape:
+        loss = tr.patient_loss(fwd(model, prep), prep)
+        ad.backward(tape, loss)
+    grads = {name: t.grad for name, t in model.params.items()}
+    for t in model.params.values():
+        t.grad = None
+    return loss.data, grads
+
+
+class TestOnePassGradients:
+    """One fusion pass with a gradient cut must reproduce the two-pass
+    graph's parameter gradients bit for bit."""
+
+    def check(self, model, records):
+        for rec in records:
+            prep = prepare_patient(rec, model)
+            loss_ref, ref = step_gradients(model, prep, two_pass_forward)
+            loss_new, new = step_gradients(model, prep, forward)
+            assert np.array_equal(loss_ref, loss_new)
+            for name, g in ref.items():
+                assert (g is None) == (new[name] is None), name
+                assert g is None or np.array_equal(g, new[name]), name
+
+    def test_bit_identical_at_init_with_live_heads(self, small_cohort, small_config):
+        meta = tr.build_meta(small_config, small_cohort)
+        model = init_model(meta, seed=5)
+        rng = np.random.default_rng(4)
+        for name in ("agent.w", "experts.cls_w"):
+            model.params[name].data[:] = rng.standard_normal(
+                model.params[name].data.shape)
+        self.check(model, small_cohort[::7])
+
+    def test_bit_identical_on_trained_model(self, trained, small_cohort):
+        model, _ = trained
+        self.check(model, small_cohort[1::9])
 
 
 class TestTraining:
