@@ -70,16 +70,6 @@ def attribution_report(model: Model, record) -> CamReport:
                      gene_scores=gene_scores, patch_scores=patch_scores)
 
 
-def gene_cam(model: Model, record) -> dict:
-    """Per-gene attribution, grouped; masked genes score 0."""
-    return attribution_report(model, record).gene_scores
-
-
-def patch_cam(model: Model, record) -> np.ndarray:
-    """Per-patch attribution; length equals the patch count."""
-    return attribution_report(model, record).patch_scores
-
-
 def top_genes(reports, schema: dict, k: int = 3) -> dict:
     """Mean gene score across a cohort, top-k per group.
 

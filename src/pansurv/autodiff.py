@@ -80,10 +80,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """Same values, severed from the graph."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -322,9 +318,6 @@ def gather(a, indices, axis=0):
     return out
 
 
-embedding = gather  # lookup into an embedding table is a row gather
-
-
 def pick(a, index):
     """Scalar element of a 1-D tensor."""
     a = as_tensor(a)
@@ -375,7 +368,7 @@ def masked_mean(a, mask, axis):
     """Mean of `a` over `axis`, restricted to mask==1 positions.
 
     `mask` is a constant 0/1 array broadcastable to `a`; an all-zero mask
-    yields a zero vector (the caller flags such groups as absent).
+    yields a zero vector.
     """
     a = as_tensor(a)
     m = np.asarray(mask, dtype=np.float64)

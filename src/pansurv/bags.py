@@ -1,5 +1,5 @@
-"""Per-patient data bags: text templating, genomic padding/masks, patch bags,
-tissue-histogram thresholding, and survival-time discretization.
+"""Per-patient data bags: text templating, genomic values/masks, patch bags,
+and survival-time discretization.
 
 Also owns the cohort file format: JSON Lines, one patient per line, with
 patch features either inline or in a little-endian binary sidecar whose
@@ -31,18 +31,6 @@ TREATMENTS = ("none", "radiation", "pharmaceutical", "both")
 # canonical genomic groups, in fixed order
 GENOMIC_GROUPS = ("TSG", "ONC", "PK", "CDM", "TF", "CGF")
 
-GROUP_FULL_NAMES = {
-    "TSG": "tumor suppressor genes",
-    "ONC": "oncogenes",
-    "PK": "protein kinases",
-    "CDM": "cell differentiation markers",
-    "TF": "transcription factors",
-    "CGF": "cytokines and growth factors",
-}
-
-# documented default schema sizes per group
-TABLE_GROUP_SIZES = {"TSG": 82, "ONC": 328, "PK": 513, "CDM": 443, "TF": 1536, "CGF": 452}
-
 CANCER_FULL_NAMES = {
     "BLCA": "Bladder Urothelial Carcinoma",
     "BRCA": "Breast Invasive Carcinoma",
@@ -62,6 +50,10 @@ class SchemaError(ValueError):
 
 class BinningError(ValueError):
     """Survival-time discretization precondition violated."""
+
+
+class CohortError(ValueError):
+    """A cohort file line is not a valid patient record."""
 
 
 @dataclass
@@ -140,13 +132,6 @@ class GenomicBag:
 
 
 @dataclass
-class SurvivalLabel:
-    survival_months: float
-    censored: bool  # True = event not observed
-    time_bin: int
-
-
-@dataclass
 class PatientRecord:
     id: str
     cancer_type: str
@@ -155,12 +140,6 @@ class PatientRecord:
     genomic: GenomicBag
     survival_months: float
     censored: bool
-    label: SurvivalLabel | None = None
-
-
-def table_default_schema() -> dict:
-    """Reference schema with the documented per-group sizes (synthetic names)."""
-    return positional_schema(TABLE_GROUP_SIZES)
 
 
 def cancer_full_name(code: str) -> str:
@@ -192,74 +171,6 @@ def render_text_bag(meta: PatientMeta) -> TextBag:
 
 
 # ---------------------------------------------------------------------------
-# genomic bag
-# ---------------------------------------------------------------------------
-
-def build_genomic_bag(observed: dict, schema: dict | None = None) -> GenomicBag:
-    """Zero-pad observed gene values into the schema and record the mask.
-
-    `observed` maps group -> {gene name -> z-score}; groups may be missing
-    entirely (all-zero values and mask for that group).
-    """
-    if schema is None:
-        schema = table_default_schema()
-    unknown_groups = set(observed) - set(GENOMIC_GROUPS)
-    if unknown_groups:
-        raise SchemaError(f"unknown genomic groups: {sorted(unknown_groups)}")
-    values, mask = {}, {}
-    for grp in GENOMIC_GROUPS:
-        names = schema[grp]
-        pos = {g: i for i, g in enumerate(names)}
-        v = np.zeros(len(names))
-        m = np.zeros(len(names))
-        for gene, z in (observed.get(grp) or {}).items():
-            if gene not in pos:
-                raise SchemaError(f"unknown gene {gene!r} in group {grp}")
-            v[pos[gene]] = float(z)
-            m[pos[gene]] = 1.0
-        values[grp] = v
-        mask[grp] = m
-    return GenomicBag(values=values, mask=mask, schema=dict(schema))
-
-
-# ---------------------------------------------------------------------------
-# tissue-histogram thresholding
-# ---------------------------------------------------------------------------
-
-def otsu_threshold(histogram) -> int:
-    """Gray level maximizing between-class variance.
-
-    Threshold t splits levels into [0, t) and [t, 255]; only thresholds with
-    both classes non-empty qualify, ties break to the lowest level. A
-    histogram with a single occupied level returns that level.
-    """
-    h = np.asarray(histogram, dtype=np.float64)
-    if h.shape != (256,) or np.any(h < 0):
-        raise ValueError("histogram must be 256 nonnegative counts")
-    total = h.sum()
-    if total <= 0:
-        raise ValueError("histogram is empty")
-    levels = np.arange(256)
-    w0 = np.cumsum(h)                      # mass at levels <= t
-    s0 = np.cumsum(h * levels)
-    mu_total = s0[-1] / total
-    best_t, best_var = -1, -1.0
-    for t in range(1, 256):
-        n0 = w0[t - 1]                     # class [0, t)
-        n1 = total - n0
-        if n0 <= 0 or n1 <= 0:
-            continue
-        mu0 = s0[t - 1] / n0
-        mu1 = (s0[-1] - s0[t - 1]) / n1
-        var = n0 * n1 * (mu0 - mu1) ** 2   # scaled between-class variance
-        if var > best_var + 1e-12 * max(best_var, 1.0):
-            best_var, best_t = var, t
-    if best_t < 0:
-        return int(np.nonzero(h)[0][0])    # degenerate: single occupied level
-    return best_t
-
-
-# ---------------------------------------------------------------------------
 # survival-time discretization
 # ---------------------------------------------------------------------------
 
@@ -286,11 +197,6 @@ def assign_time_bin(months: float, edges) -> int:
     if months < 0:
         raise BinningError(f"months must be nonnegative, got {months}")
     return int(np.searchsorted(np.asarray(edges), months, side="right"))
-
-
-def make_label(months: float, censored: bool, edges) -> SurvivalLabel:
-    return SurvivalLabel(survival_months=float(months), censored=bool(censored),
-                         time_bin=assign_time_bin(months, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -359,33 +265,41 @@ def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
     """Parse a JSON Lines cohort. Patch features may be inline arrays or a
     path (relative to the cohort file) to a binary matrix. Without an
     explicit schema, positional gene names are derived from group lengths.
+    A line that is not valid JSON, lacks a key or holds a bad value raises
+    CohortError naming `path:line`.
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            pf = obj["patch_features"]
-            if isinstance(pf, str):
-                patches = read_patch_matrix(os.path.join(base, pf))
-            else:
-                patches = np.asarray(pf, dtype=np.float64)
-            if schema is None:
-                schema = positional_schema(
-                    {g: len(obj["genomic"][g]["values"]) for g in GENOMIC_GROUPS})
-            genomic = GenomicBag(
-                values={g: np.asarray(obj["genomic"][g]["values"]) for g in GENOMIC_GROUPS},
-                mask={g: np.asarray(obj["genomic"][g]["mask"]) for g in GENOMIC_GROUPS},
-                schema=schema,
-            )
-            meta = PatientMeta(**obj["meta"])
-            records.append(PatientRecord(
-                id=obj["id"], cancer_type=obj["cancer_type"], meta=meta,
-                wsi=WsiBag(patches), genomic=genomic,
-                survival_months=float(obj["survival_months"]),
-                censored=bool(obj["censored"]),
-            ))
+            try:
+                obj = json.loads(line)
+                pf = obj["patch_features"]
+                if isinstance(pf, str):
+                    patches = read_patch_matrix(os.path.join(base, pf))
+                else:
+                    patches = np.asarray(pf, dtype=np.float64)
+                if schema is None:
+                    schema = positional_schema(
+                        {g: len(obj["genomic"][g]["values"]) for g in GENOMIC_GROUPS})
+                genomic = GenomicBag(
+                    values={g: np.asarray(obj["genomic"][g]["values"]) for g in GENOMIC_GROUPS},
+                    mask={g: np.asarray(obj["genomic"][g]["mask"]) for g in GENOMIC_GROUPS},
+                    schema=schema,
+                )
+                meta = PatientMeta(**obj["meta"])
+                meta.validate()
+                records.append(PatientRecord(
+                    id=obj["id"], cancer_type=obj["cancer_type"], meta=meta,
+                    wsi=WsiBag(patches), genomic=genomic,
+                    survival_months=float(obj["survival_months"]),
+                    censored=bool(obj["censored"]),
+                ))
+            except KeyError as exc:
+                raise CohortError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise CohortError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import attribution, bags, survival as sv, synthetic as sg, training as tr
-from .model import ModelError, load_checkpoint
+from .model import ModelError, load_checkpoint, prepare_patient
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
@@ -134,6 +134,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.top_k < 1:
+        raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
     records = bags.read_cohort(_require_file(args.data, "cohort"))
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     schema = records[0].genomic.schema
@@ -167,7 +169,6 @@ def cmd_km(args) -> int:
         raise UsageError("km needs exactly one of --checkpoint or --risks")
     if args.checkpoint:
         model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-        from .model import prepare_patient
         risk_by_id = {rec.id: tr.predict_risk(model, prepare_patient(rec, model))
                       for rec in records}
     else:
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (tr.TrainingError, sg.SpecError, sv.SurvivalError, ModelError,
-            bags.BinningError) as exc:
+            bags.BinningError, bags.CohortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bags import GENOMIC_GROUPS, GenomicBag, TextBag, WsiBag
+from .bags import GENOMIC_GROUPS, GenomicBag
 
 
 class EncoderError(ValueError):
@@ -28,22 +28,10 @@ class EncoderError(ValueError):
 # positional encoding
 # ---------------------------------------------------------------------------
 
-def positional_encoding(pos: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position vector: component 2m is sin(pos/10000^(2m/d)),
-    component 2m+1 is cos of the same argument."""
-    if d_model % 2:
-        raise EncoderError(f"d_model must be even, got {d_model}")
-    if pos < 0:
-        raise EncoderError(f"pos must be nonnegative, got {pos}")
-    m = np.arange(d_model // 2)
-    arg = pos / np.power(10000.0, 2.0 * m / d_model)
-    out = np.empty(d_model)
-    out[0::2] = np.sin(arg)
-    out[1::2] = np.cos(arg)
-    return out
-
-
 def pe_matrix(length: int, d_model: int) -> np.ndarray:
+    """Sinusoidal encodings of positions 0..length-1, one per row: component
+    2m of row pos is sin(pos/10000^(2m/d)), component 2m+1 is cos of the
+    same argument."""
     if d_model % 2:
         raise EncoderError(f"d_model must be even, got {d_model}")
     pos = np.arange(length)[:, None]
@@ -122,9 +110,9 @@ def bag_to_arrays(bag: GenomicBag) -> tuple[np.ndarray, np.ndarray]:
 def encode_genomic_arrays(values, mask, params: dict, n_heads: int = 4):
     """Batched pass over padded (groups, length) value/mask arrays.
 
-    Returns (features (6, d), lift tokens (6, L, d), absent flags). Masked
-    positions are excluded from attention and pooling, so their values
-    cannot influence the features; an all-masked group yields a zero vector.
+    Returns (features (6, d), lift tokens (6, L, d)). Masked positions are
+    excluded from attention and pooling, so their values cannot influence
+    the features; an all-masked group yields a zero vector.
     """
     vals = values if isinstance(values, Tensor) else Tensor(values)
     m = np.asarray(mask, dtype=np.float64)
@@ -141,34 +129,23 @@ def encode_genomic_arrays(values, mask, params: dict, n_heads: int = 4):
     f = ad.relu(ad.add(ad.matmul(x, params["gen.ffn_w1"]), params["gen.ffn_b1"]))
     f = ad.add(ad.matmul(f, params["gen.ffn_w2"]), params["gen.ffn_b2"])
     x = ad.layer_norm(ad.add(x, f), params["gen.ln2_g"], params["gen.ln2_b"])
-    features = ad.masked_mean(x, m[:, :, None], axis=1)
-    absent = m.sum(axis=1) == 0
-    return features, tokens, absent
-
-
-def encode_genomic(bag: GenomicBag, params: dict, n_heads: int = 4):
-    """Six d_model feature vectors, one per genomic group (Tensor (6, d))."""
-    values, mask = bag_to_arrays(bag)
-    return encode_genomic_arrays(values, mask, params, n_heads=n_heads)
+    return ad.masked_mean(x, m[:, :, None], axis=1), tokens
 
 
 # ---------------------------------------------------------------------------
 # patch projector
 # ---------------------------------------------------------------------------
 
-def project_patches(bag, params: dict):
-    """Affine map d_patch -> d_model per patch; bag length preserved.
-
-    Returns (features (N, d), projected tokens for attribution).
-    """
-    patches = bag.patch_features if isinstance(bag, WsiBag) else bag
+def project_patches(patches, params: dict) -> Tensor:
+    """Affine map d_patch -> d_model per patch of an (N, d_patch) array or
+    Tensor; bag length preserved. The projected tokens are both the patch
+    features and the tokens attribution scores."""
     x = patches if isinstance(patches, Tensor) else Tensor(np.asarray(patches, dtype=np.float64))
     if x.data.ndim != 2 or x.data.shape[1] != params["patch.w"].data.shape[0]:
         raise EncoderError(
             f"patch features {x.data.shape} do not match projector "
             f"{params['patch.w'].data.shape}")
-    tokens = ad.add(ad.matmul(x, params["patch.w"]), params["patch.b"])
-    return tokens, tokens
+    return ad.add(ad.matmul(x, params["patch.w"]), params["patch.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +185,3 @@ def embed_text_rows(frozen_rows: np.ndarray, params: dict) -> Tensor:
     x = Tensor(np.atleast_2d(frozen_rows))
     y = ad.add(ad.matmul(x, params["text.adapter_w"]), params["text.adapter_b"])
     return ad.l2_normalize(y)
-
-
-def embed_text(sentence: str, params: dict, table: np.ndarray) -> Tensor:
-    """Deterministic unit vector for one sentence."""
-    vec = frozen_sentence_vector(sentence, table)
-    return ad.reshape(embed_text_rows(vec[None, :], params), (table.shape[1],))
-
-
-def embed_text_bag(bag: TextBag, params: dict, table: np.ndarray) -> Tensor:
-    """(4, d) matrix of unit vectors in template order."""
-    rows = np.stack([frozen_sentence_vector(s, table) for s in bag.sentences])
-    return embed_text_rows(rows, params)

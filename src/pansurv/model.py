@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders, fusion, moe
 from .autodiff import Tensor
-from .bags import GENOMIC_GROUPS, PatientRecord, render_text_bag
+from .bags import PatientRecord, assign_time_bin, render_text_bag
 
 MAGIC = b"UMPS1\n"
 
@@ -108,10 +108,10 @@ class PatientPrep:
     txt_rows: np.ndarray     # (4, d_model) frozen sentence vectors
     months: float
     censored: bool
-    time_bin: int = -1
+    time_bin: int
 
 
-def prepare_patient(record: PatientRecord, model: Model, edges=None) -> PatientPrep:
+def prepare_patient(record: PatientRecord, model: Model) -> PatientPrep:
     meta = model.meta
     if record.cancer_type not in meta.cancer_types:
         raise ModelError(f"cancer type {record.cancer_type!r} not in model vocabulary "
@@ -123,18 +123,14 @@ def prepare_patient(record: PatientRecord, model: Model, edges=None) -> PatientP
     bag = render_text_bag(record.meta)
     txt_rows = np.stack([encoders.frozen_sentence_vector(s, model.table)
                          for s in bag.sentences])
-    prep = PatientPrep(
+    return PatientPrep(
         id=record.id, cancer_type=record.cancer_type,
         cancer_idx=meta.cancer_types.index(record.cancer_type),
         gen_values=values, gen_mask=mask,
         patches=record.wsi.patch_features, txt_rows=txt_rows,
         months=record.survival_months, censored=record.censored,
+        time_bin=assign_time_bin(record.survival_months, np.asarray(meta.bin_edges)),
     )
-    use_edges = edges if edges is not None else meta.bin_edges
-    if len(use_edges) or meta.n_bins == 1:
-        from .bags import assign_time_bin
-        prep.time_bin = assign_time_bin(record.survival_months, np.asarray(use_edges))
-    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +143,6 @@ class ForwardOutput:
     curve: object
     agent: Tensor | None
     gate: Tensor
-    txt: Tensor
-    fused_p: Tensor
-    fused_g: Tensor
     gen_tokens: Tensor
     patch_tokens: Tensor
     plans: dict
@@ -167,15 +160,15 @@ def forward(model: Model, prep: PatientPrep, need_agent: bool = True,
     meta = model.meta
     p = model.params
     txt = encoders.embed_text_rows(prep.txt_rows, p)
-    gen_feats, gen_tokens, _ = encoders.encode_genomic_arrays(
+    gen_feats, gen_tokens = encoders.encode_genomic_arrays(
         gen_values if gen_values is not None else prep.gen_values,
         prep.gen_mask, p, n_heads=meta.n_heads)
-    patch_feats, patch_tokens = encoders.project_patches(
+    patch_tokens = encoders.project_patches(
         patches if patches is not None else prep.patches, p)
 
     mark = ad.tape_mark()
     fused, plans = {}, {}
-    for key, src in (("p", patch_feats), ("g", gen_feats)):
+    for key, src in (("p", patch_tokens), ("g", gen_feats)):
         aligned, plans[key] = fusion.ot_align(
             src, txt, p, f"fuse_{key}", eps=meta.sinkhorn_eps,
             max_iter=meta.sinkhorn_max_iter, tol=meta.sinkhorn_tol)
@@ -196,24 +189,21 @@ def forward(model: Model, prep: PatientPrep, need_agent: bool = True,
     agent = moe.agent_logits(*agent_in, p) if need_agent else None
     return ForwardOutput(
         hazards=gmoe_out.hazards, curve=gmoe_out.curve, agent=agent,
-        gate=gmoe_out.gate, txt=txt, fused_p=fused_p, fused_g=fused_g,
-        gen_tokens=gen_tokens, patch_tokens=patch_tokens, plans=plans)
+        gate=gmoe_out.gate, gen_tokens=gen_tokens, patch_tokens=patch_tokens, plans=plans)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path: str, model: Model, dtype: str = "<f8"):
-    if dtype not in ("<f8", "<f4"):
-        raise ModelError(f"checkpoint dtype must be <f8 or <f4, got {dtype}")
+def save_checkpoint(path: str, model: Model):
     tensors = []
     offset = 0
     blobs = []
     for name, t in model.params.items():
-        raw = np.ascontiguousarray(t.data, dtype=dtype).tobytes()
+        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
         tensors.append({"name": name, "shape": list(t.data.shape),
-                        "dtype": dtype, "offset": offset, "nbytes": len(raw)})
+                        "dtype": "<f8", "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
         offset += len(raw)
     manifest = json.dumps({"meta": model.meta.to_dict(), "tensors": tensors},
@@ -227,14 +217,19 @@ def save_checkpoint(path: str, model: Model, dtype: str = "<f8"):
 
 
 def load_checkpoint(path: str) -> Model:
-    """Rebuild a model; every tensor's shape is validated against the
-    architecture implied by the stored configuration."""
+    """Rebuild a model; every tensor's shape, dtype and extent is validated
+    against the architecture implied by the stored configuration."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ModelError(f"{path} is not a model checkpoint (bad magic)")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        payload = fh.read()
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise ModelError(f"{path} is not a model checkpoint (bad magic)")
+    body = len(MAGIC) + 8
+    end = body + int.from_bytes(data[len(MAGIC):body], "little")
+    try:
+        manifest = json.loads(data[body:end].decode("utf-8"))
+    except ValueError:
+        raise ModelError(f"{path}: truncated or unreadable manifest") from None
+    payload = memoryview(data)[end:]
     meta = ModelMeta.from_dict(manifest["meta"])
     model = init_model(meta, seed=0)
     seen = set()
@@ -246,8 +241,15 @@ def load_checkpoint(path: str) -> Model:
         if tuple(entry["shape"]) != expected:
             raise ModelError(f"checkpoint tensor {name!r} has shape {entry['shape']}, "
                              f"architecture expects {list(expected)}")
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(expected)
+        if entry["dtype"] != "<f8":
+            raise ModelError(f"{path}: tensor {name!r} has dtype {entry['dtype']}, not <f8")
+        if entry["nbytes"] != 8 * int(np.prod(expected)):
+            raise ModelError(f"{path}: tensor {name!r} has {entry['nbytes']} bytes "
+                             f"for shape {list(expected)}")
+        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
+        if start < 0 or stop > len(payload):
+            raise ModelError(f"{path}: tensor {name!r} lies outside the payload")
+        arr = np.frombuffer(payload[start:stop], dtype="<f8").reshape(expected)
         model.params[name].data = arr.astype(np.float64)
         seen.add(name)
     missing = set(model.params) - seen

@@ -27,41 +27,24 @@ class MoeError(ValueError):
 
 
 def init_expert_params(rng, d_model: int, n_bins: int, n_experts: int,
-                       ffn_mult: int = 2, cls_std: float = 0.0) -> dict:
-    """Stacked weights for N_e experts.
-
-    With cls_std=0 the survival classifiers start at zero (fresh models
-    emit flat hazards of 0.5); a small positive cls_std makes expert
-    outputs distinct from the first step, so the gate receives routing
-    gradients immediately instead of waiting for the experts to diverge.
-    """
+                       ffn_mult: int = 2) -> dict:
+    """Stacked weights for N_e experts; the survival classifiers start at
+    zero, so fresh models emit flat hazards of 0.5."""
     if n_experts < 1:
         raise MoeError(f"need at least one expert, got {n_experts}")
     p = {}
     p.update(init_decoder_layer(rng, d_model, "experts.l1", ffn_mult, batch=(n_experts,)))
     p.update(init_decoder_layer(rng, d_model, "experts.l2", ffn_mult, batch=(n_experts,)))
-    if cls_std > 0:
-        w = rng.standard_normal((n_experts, d_model, n_bins)) * cls_std
-    else:
-        w = np.zeros((n_experts, d_model, n_bins))
-    p["experts.cls_w"] = ad.parameter(w)
+    p["experts.cls_w"] = ad.parameter(np.zeros((n_experts, d_model, n_bins)))
     p["experts.cls_b"] = ad.parameter(np.zeros((n_experts, 1, n_bins)))
     return p
 
 
-def init_gate_params(d_model: int, n_experts: int, rng=None,
-                     init_std: float = 1.5) -> dict:
-    """Gate affine weights. Zero-initialized (rng=None) the gate emits
-    uniform weights 1/N_e; with an rng the weights start random so that
-    different cancer embeddings route to different experts from the first
-    step, which breaks the usual soft-mixture symmetry without any
-    auxiliary balancing loss."""
-    if rng is None:
-        w = np.zeros((2 * d_model, n_experts))
-    else:
-        w = rng.standard_normal((2 * d_model, n_experts)) * init_std
+def init_gate_params(d_model: int, n_experts: int) -> dict:
+    """Gate affine weights, zero-initialized: the gate starts at uniform
+    weights 1/N_e."""
     return {
-        "gate.w": ad.parameter(w),
+        "gate.w": ad.parameter(np.zeros((2 * d_model, n_experts))),
         "gate.b": ad.parameter(np.zeros(n_experts)),
     }
 
@@ -135,8 +118,6 @@ def gmoe_hazard(fused_p: Tensor, fused_g: Tensor, txt: Tensor,
                 n_heads: int = 4) -> GmoeOutput:
     """Gate-weighted expert mix in logit space, then per-bin sigmoid."""
     n_e = n_experts_of(params)
-    if n_e < 1:
-        raise MoeError("zero experts")
     logits = experts_logits(fused_p, fused_g, txt, params, n_heads=n_heads)
     gate = gate_weights(cancer_emb, diag_emb, params)
     mixed = ad.matmul(ad.reshape(gate, (1, n_e)), logits)

@@ -95,16 +95,6 @@ def cross_entropy_graph(logits: ad.Tensor, label: int) -> ad.Tensor:
     return -ad.pick(ad.log_softmax(logits), int(label))
 
 
-def total_loss(curves, cancer_logits, cancer_labels, censored, time_bins) -> float:
-    """Batch mean of L_ce + L_nll (unweighted sum of the two terms)."""
-    if len(curves) == 0:
-        raise SurvivalError("empty batch")
-    parts = [cross_entropy(z, lab) + nll_survival_loss(cv, c, y)
-             for cv, z, lab, c, y
-             in zip(curves, cancer_logits, cancer_labels, censored, time_bins)]
-    return float(np.mean(parts))
-
-
 def risk_score(curve: HazardCurve) -> float:
     """Scalar risk, higher = worse prognosis: negative summed survival."""
     return float(-curve.survival.sum())
@@ -273,6 +263,49 @@ def metrics_json(per_cancer_cindex: dict, logrank_p: dict, fold_details=None,
         "fold_details": fold_details if fold_details is not None else [],
         "warnings": warnings or [],
     }
+
+
+def per_cancer_cindex(risks, months, censored, cancers) -> tuple[dict, list]:
+    """C-index of each cancer's patients, cancers in sorted order.
+
+    Returns ({cancer: C-index}, warnings); a cancer whose C-index cannot be
+    computed maps to None and adds a "<cancer>: <reason>" warning.
+    """
+    r = np.asarray(risks, dtype=np.float64)
+    t = np.asarray(months, dtype=np.float64)
+    c = np.asarray(censored, dtype=bool)
+    labels = np.asarray(cancers)
+    per, warnings = {}, []
+    for cancer in sorted(set(cancers)):
+        m = labels == cancer
+        try:
+            per[cancer] = concordance_index(r[m], t[m], c[m])
+        except SurvivalError as exc:
+            per[cancer] = None
+            warnings.append(f"{cancer}: {exc}")
+    return per, warnings
+
+
+def cohort_metrics(risks, months, censored, cancers) -> dict:
+    """Per-cancer C-index plus the logrank p of each cancer's median risk
+    split, as `metrics_json`. The two fail independently; the C-index
+    warnings come before the logrank ones."""
+    per, warnings = per_cancer_cindex(risks, months, censored, cancers)
+    r = np.asarray(risks, dtype=np.float64)
+    t = np.asarray(months, dtype=np.float64)
+    e = ~np.asarray(censored, dtype=bool)
+    labels = np.asarray(cancers)
+    logrank_p = {}
+    for cancer in per:
+        m = labels == cancer
+        try:
+            low, high = median_risk_split(r[m])
+            _, logrank_p[cancer] = logrank_test(t[m][low], e[m][low],
+                                                t[m][high], e[m][high])
+        except SurvivalError as exc:
+            logrank_p[cancer] = None
+            warnings.append(f"{cancer}: {exc}")
+    return metrics_json(per, logrank_p, warnings=warnings)
 
 
 def dump_metrics(path: str, metrics: dict):

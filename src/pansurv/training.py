@@ -72,15 +72,13 @@ class TrainConfig:
         return cfg
 
 
-def build_meta(config: TrainConfig, records, cancer_types=None,
-               bin_edges=None) -> ModelMeta:
+def build_meta(config: TrainConfig, records, cancer_types=None) -> ModelMeta:
     cancer_types = tuple(cancer_types) if cancer_types else \
         tuple(sorted({r.cancer_type for r in records}))
     group_sizes = {g: len(records[0].genomic.schema[g])
                    for g in records[0].genomic.schema}
-    if bin_edges is None:
-        uncensored = [r.survival_months for r in records if not r.censored]
-        bin_edges = compute_bin_edges(uncensored, config.n_bins)
+    uncensored = [r.survival_months for r in records if not r.censored]
+    bin_edges = compute_bin_edges(uncensored, config.n_bins)
     return ModelMeta(
         d_model=config.d_model, n_bins=config.n_bins, n_experts=config.n_experts,
         n_heads=config.n_heads, ffn_mult=config.ffn_mult,
@@ -176,14 +174,9 @@ def train(records, config: TrainConfig, val_records=None, cancer_types=None,
                 entry["val_cindex"] = sv.concordance_index(risks, times, cens)
             except sv.SurvivalError:
                 entry["val_cindex"] = None
-            per = []
-            for cancer in sorted({vp.cancer_type for vp in val_preps}):
-                m = np.array([vp.cancer_type == cancer for vp in val_preps])
-                try:
-                    per.append(sv.concordance_index(risks[m], times[m], cens[m]))
-                except sv.SurvivalError:
-                    pass
-            entry["val_overall_cindex"] = float(np.mean(per)) if per else None
+            per, _ = sv.per_cancer_cindex(risks, times, cens,
+                                          [vp.cancer_type for vp in val_preps])
+            entry["val_overall_cindex"] = sv.metrics_json(per, {})["overall_mean_cindex"]
         log.append(entry)
         if log_fn:
             log_fn(entry)
@@ -191,8 +184,10 @@ def train(records, config: TrainConfig, val_records=None, cancer_types=None,
 
 
 def predict_risk(model: Model, prep) -> float:
-    out = forward(model, prep, need_agent=False)
-    return sv.risk_score(out.curve)
+    risk = sv.risk_score(forward(model, prep, need_agent=False).curve)
+    if not np.isfinite(risk):
+        raise TrainingError(f"non-finite risk for patient {prep.id}")
+    return risk
 
 
 def evaluate(records, model: Model):
@@ -204,29 +199,12 @@ def evaluate(records, model: Model):
     preps = [prepare_patient(r, model) for r in records]
     risks = np.array([predict_risk(model, p) for p in preps])
     times = np.array([p.months for p in preps])
-    events = np.array([not p.censored for p in preps])
-    cancers = sorted({p.cancer_type for p in preps})
-    per_cindex, logrank_p, warnings = {}, {}, []
-    for cancer in cancers:
-        m = np.array([p.cancer_type == cancer for p in preps])
-        try:
-            per_cindex[cancer] = sv.concordance_index(risks[m], times[m], ~events[m])
-        except sv.SurvivalError as exc:
-            per_cindex[cancer] = None
-            warnings.append(f"{cancer}: {exc}")
-        try:
-            low, high = sv.median_risk_split(risks[m])
-            _, p_val = sv.logrank_test(times[m][low], events[m][low],
-                                       times[m][high], events[m][high])
-            logrank_p[cancer] = p_val
-        except sv.SurvivalError as exc:
-            logrank_p[cancer] = None
-            warnings.append(f"{cancer}: {exc}")
-    metrics = sv.metrics_json(per_cindex, logrank_p, warnings=warnings)
+    cens = np.array([p.censored for p in preps], dtype=bool)
+    cancers = [p.cancer_type for p in preps]
     details = {"ids": [p.id for p in preps], "risks": risks.tolist(),
-               "months": times.tolist(), "censored": (~events).tolist(),
-               "cancers": [p.cancer_type for p in preps]}
-    return metrics, details
+               "months": times.tolist(), "censored": cens.tolist(),
+               "cancers": cancers}
+    return sv.cohort_metrics(risks, times, cens, cancers), details
 
 
 def _run_fold(args):
@@ -264,30 +242,11 @@ def run_cross_validation(records, config: TrainConfig, k: int | None = None,
     for _, _, details in results:
         for key in pooled:
             pooled[key].extend(details[key])
-    risks = np.array(pooled["risks"])
-    times = np.array(pooled["months"])
-    cens = np.array(pooled["censored"], dtype=bool)
-    cancer_arr = np.array(pooled["cancers"])
-    per_cindex, logrank_p = {}, {}
-    warnings = []
-    for cancer in sorted(set(pooled["cancers"])):
-        m = cancer_arr == cancer
-        try:
-            per_cindex[cancer] = sv.concordance_index(risks[m], times[m], cens[m])
-            low, high = sv.median_risk_split(risks[m])
-            _, p_val = sv.logrank_test(times[m][low], ~cens[m][low],
-                                       times[m][high], ~cens[m][high])
-            logrank_p[cancer] = p_val
-        except sv.SurvivalError as exc:
-            per_cindex.setdefault(cancer, None)
-            logrank_p[cancer] = None
-            warnings.append(f"{cancer}: {exc}")
+    aggregate = sv.cohort_metrics(pooled["risks"], pooled["months"],
+                                  pooled["censored"], pooled["cancers"])
+    aggregate["fold_details"] = [{"fold": j, "metrics": m}
+                                 for j, m in enumerate(fold_metrics)]
     fold_overalls = [m["overall_mean_cindex"] for m in fold_metrics]
-    aggregate = sv.metrics_json(per_cindex, logrank_p,
-                                fold_details=[
-                                    {"fold": j, "metrics": fold_metrics[j]}
-                                    for j in range(k)],
-                                warnings=warnings)
     aggregate["fold_overall_cindex"] = fold_overalls
     aggregate["mean_fold_overall_cindex"] = float(np.mean(
         [x for x in fold_overalls if x is not None]))

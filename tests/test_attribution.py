@@ -35,7 +35,7 @@ def model(cohort):
 class TestGeneCam:
     def test_scores_shape_and_sign(self, model, cohort):
         records, _ = cohort
-        scores = attr.gene_cam(model, records[0])
+        scores = attr.attribution_report(model, records[0]).gene_scores
         for g in bags.GENOMIC_GROUPS:
             assert scores[g].shape == (5,)
             assert np.all(scores[g] >= 0)
@@ -45,7 +45,7 @@ class TestGeneCam:
         rec = copy.deepcopy(records[1])
         rec.genomic.mask["TSG"][2] = 0.0
         rec.genomic.values["TSG"][2] = 0.0
-        scores = attr.gene_cam(model, rec)
+        scores = attr.attribution_report(model, rec).gene_scores
         assert scores["TSG"][2] == 0.0
 
     def test_all_masked_genomics_zero_attribution(self, model, cohort):
@@ -54,14 +54,14 @@ class TestGeneCam:
         for g in bags.GENOMIC_GROUPS:
             rec.genomic.mask[g][:] = 0.0
             rec.genomic.values[g][:] = 0.0
-        scores = attr.gene_cam(model, rec)
+        scores = attr.attribution_report(model, rec).gene_scores
         for g in bags.GENOMIC_GROUPS:
             np.testing.assert_array_equal(scores[g], np.zeros(5))
 
     def test_deterministic(self, model, cohort):
         records, _ = cohort
-        a = attr.gene_cam(model, records[3])
-        b = attr.gene_cam(model, records[3])
+        a = attr.attribution_report(model, records[3]).gene_scores
+        b = attr.attribution_report(model, records[3]).gene_scores
         for g in bags.GENOMIC_GROUPS:
             np.testing.assert_array_equal(a[g], b[g])
 
@@ -107,13 +107,13 @@ class TestGeneCam:
         broken = copy.deepcopy(model)
         broken.params["gate.w"].data[0, 0] = np.nan
         with pytest.raises(attr.AttributionError):
-            attr.gene_cam(broken, records[0])
+            attr.attribution_report(broken, records[0])
 
 
 class TestPatchCam:
     def test_scores_length(self, model, cohort):
         records, _ = cohort
-        scores = attr.patch_cam(model, records[0])
+        scores = attr.attribution_report(model, records[0]).patch_scores
         assert scores.shape == (records[0].wsi.patch_count,)
         assert np.all(scores >= 0)
 
@@ -121,7 +121,7 @@ class TestPatchCam:
         records, _ = cohort
         rec = copy.deepcopy(records[5])
         rec.wsi.patch_features[:] = rec.wsi.patch_features[0]
-        scores = attr.patch_cam(model, rec)
+        scores = attr.attribution_report(model, rec).patch_scores
         assert np.allclose(scores, scores[0], atol=1e-9)
 
 

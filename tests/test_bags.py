@@ -1,4 +1,4 @@
-"""Data-bag formation: templates, genomic padding, OTSU, time binning, I/O."""
+"""Data-bag formation: templates, genomic bags, time binning, I/O."""
 
 import numpy as np
 import pytest
@@ -63,90 +63,54 @@ class TestTextBag:
 class TestGenomicBag:
     SCHEMA = {g: [f"{g}_{i:04d}" for i in range(4)] for g in bags.GENOMIC_GROUPS}
 
+    def _bag(self, values=None, mask=None, schema=None):
+        """GenomicBag over SCHEMA, fully observed at 0.5 unless overridden."""
+        v = {g: np.full(4, 0.5) for g in bags.GENOMIC_GROUPS}
+        m = {g: np.ones(4) for g in bags.GENOMIC_GROUPS}
+        v.update(values or {})
+        m.update(mask or {})
+        return bags.GenomicBag(values=v, mask=m, schema=schema or dict(self.SCHEMA))
+
     def test_fully_observed_mask_all_ones(self):
-        observed = {g: {name: 0.5 for name in names} for g, names in self.SCHEMA.items()}
-        bag = bags.build_genomic_bag(observed, self.SCHEMA)
+        bag = self._bag()
         for g in bags.GENOMIC_GROUPS:
             np.testing.assert_array_equal(bag.mask[g], np.ones(4))
+            assert bag.values[g].dtype == np.float64
 
     def test_missing_group_all_zero(self):
-        observed = {g: {name: 1.0 for name in names}
-                    for g, names in self.SCHEMA.items() if g != "TF"}
-        bag = bags.build_genomic_bag(observed, self.SCHEMA)
+        bag = self._bag(values={"TF": np.zeros(4)}, mask={"TF": np.zeros(4)})
         np.testing.assert_array_equal(bag.values["TF"], np.zeros(4))
         np.testing.assert_array_equal(bag.mask["TF"], np.zeros(4))
 
     def test_unknown_gene_rejected(self):
-        with pytest.raises(bags.SchemaError, match="NOPE"):
-            bags.build_genomic_bag({"TSG": {"NOPE": 1.0}}, self.SCHEMA)
+        # genes are positional: a value past the schema's last gene, or a
+        # mask slot without a gene, names no gene of the schema
+        with pytest.raises(bags.SchemaError, match="TSG"):
+            self._bag(values={"TSG": np.full(5, 0.5)})
+        with pytest.raises(bags.SchemaError, match="ONC"):
+            self._bag(mask={"ONC": np.ones(3)})
 
     def test_unknown_group_rejected(self):
+        schema = {**self.SCHEMA, "XYZ": ["XYZ_0000"]}
         with pytest.raises(bags.SchemaError):
-            bags.build_genomic_bag({"XYZ": {}}, self.SCHEMA)
+            self._bag(schema=schema)
+        schema = {g: n for g, n in self.SCHEMA.items() if g != "CGF"}
+        with pytest.raises(bags.SchemaError):
+            self._bag(schema=schema)
 
-    def test_default_schema_sizes(self):
-        schema = bags.table_default_schema()
-        sizes = [len(schema[g]) for g in bags.GENOMIC_GROUPS]
-        assert sizes == [82, 328, 513, 443, 1536, 452]
+    def test_mask_entries_binary(self):
+        with pytest.raises(bags.SchemaError, match="0 or 1"):
+            self._bag(mask={"PK": np.array([1.0, 0.5, 1.0, 1.0])})
 
-    def test_padded_positions_hold_zero(self, rng):
-        observed = {"TSG": {"TSG_0001": 2.5}}
-        bag = bags.build_genomic_bag(observed, self.SCHEMA)
-        prod = bag.values["TSG"] * (1 - bag.mask["TSG"])
-        np.testing.assert_array_equal(prod, np.zeros(4))
-        assert set(np.unique(bag.mask["TSG"])) <= {0.0, 1.0}
-
-
-def brute_force_otsu(hist):
-    """Exhaustive search over all 256 thresholds, same class convention."""
-    h = np.asarray(hist, dtype=float)
-    total = h.sum()
-    levels = np.arange(256)
-    best_t, best_var = -1, -1.0
-    for t in range(256):
-        w0 = h[:t].sum()
-        w1 = total - w0
-        if w0 <= 0 or w1 <= 0:
-            continue
-        mu0 = (h[:t] * levels[:t]).sum() / w0
-        mu1 = (h[t:] * levels[t:]).sum() / w1
-        var = w0 * w1 * (mu0 - mu1) ** 2
-        if var > best_var * (1 + 1e-12) + 1e-12:
-            best_var, best_t = var, t
-    if best_t < 0:
-        return int(np.nonzero(h)[0][0])
-    return best_t
-
-
-class TestOtsu:
-    def test_two_delta_spikes(self):
-        h = np.zeros(256)
-        h[10] = 40
-        h[200] = 60
-        t = bags.otsu_threshold(h)
-        assert 10 < t <= 200
-
-    def test_single_spike_degenerate(self):
-        h = np.zeros(256)
-        h[7] = 5
-        assert bags.otsu_threshold(h) == 7
-
-    def test_empty_histogram_rejected(self):
-        with pytest.raises(ValueError):
-            bags.otsu_threshold(np.zeros(256))
-
-    def test_matches_brute_force_on_random_histograms(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            h = rng.integers(0, 20, size=256).astype(float)
-            if rng.random() < 0.3:  # sparse bimodal-ish histograms too
-                h[:] = 0
-                lo, hi = sorted(rng.integers(0, 256, size=2))
-                h[lo] = rng.integers(1, 50)
-                h[hi] = rng.integers(1, 50)
-            if h.sum() == 0:
-                continue
-            assert bags.otsu_threshold(h) == brute_force_otsu(h)
+    def test_padded_positions_hold_zero(self):
+        mask = np.array([0.0, 1.0, 0.0, 0.0])
+        bag = self._bag(values={"TSG": np.array([0.0, 2.5, 0.0, 0.0])},
+                        mask={"TSG": mask})
+        np.testing.assert_array_equal(bag.values["TSG"] * (1 - bag.mask["TSG"]),
+                                      np.zeros(4))
+        with pytest.raises(bags.SchemaError, match="padded"):
+            self._bag(values={"TSG": np.array([1.0, 2.5, 0.0, 0.0])},
+                      mask={"TSG": mask})
 
 
 class TestTimeBinning:

@@ -185,6 +185,30 @@ class TestEval:
         assert_runtime_error(proc)
         assert "LUAD" in proc.stderr
 
+    def test_non_finite_risk_exit_1(self, workdir, tmp_path):
+        lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
+        rec = json.loads(lines[5])
+        rec["patch_features"][0][0] = float("nan")
+        lines[5] = json.dumps(rec)
+        data = tmp_path / "cohort.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", "--data", data,
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt")
+        assert_runtime_error(proc)
+        assert f"non-finite risk for patient {rec['id']}" in proc.stderr
+
+    def test_truncated_checkpoint_exit_1(self, workdir, tmp_path):
+        raw = (workdir / "run" / "fold_0.ckpt").read_bytes()
+        mlen = int.from_bytes(raw[6:14], "little")
+        # inside the length field, the manifest, the payload, the last byte
+        for cut in (10, 14 + mlen // 2, 14 + mlen + 100, len(raw) - 1):
+            ckpt = tmp_path / f"cut_{cut}.ckpt"
+            ckpt.write_bytes(raw[:cut])
+            proc = run_cli("eval", "--data", workdir / "cohort" / "cohort.jsonl",
+                           "--checkpoint", ckpt)
+            assert_runtime_error(proc)
+            assert str(ckpt) in proc.stderr
+
 
 class TestExplain:
     def test_top_k_structure(self, workdir, tmp_path):
@@ -201,6 +225,33 @@ class TestExplain:
                 assert len(cancer[grp]) == 3
         rows = json.loads(cams.read_text())
         assert {"patient_id", "modality", "group", "index", "score"} <= set(rows[0])
+
+    def test_top_k_zero_exit_2(self, workdir, tmp_path):
+        proc = run_cli("explain", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt",
+                       "--top-k", "0", "--out", tmp_path / "genes.json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.strip().splitlines() == ["error: --top-k must be >= 1, got 0"]
+
+
+class TestCohortErrors:
+    @pytest.mark.parametrize("damage, message", [
+        (lambda line: line[:-2], "Expecting"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k != "survival_months"}),
+         "missing key 'survival_months'"),
+        (lambda line: json.dumps({**json.loads(line), "meta": {
+            **json.loads(line)["meta"], "sex": "unknown"}}), "sex 'unknown'"),
+    ], ids=["bad-json", "missing-key", "bad-meta"])
+    def test_bad_line_exit_1_names_path_and_line(self, workdir, tmp_path, damage, message):
+        lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
+        lines[2] = damage(lines[2])
+        data = tmp_path / "cohort.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", "--data", data,
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt")
+        assert_runtime_error(proc)
+        assert f"{data}:3: " in proc.stderr and message in proc.stderr
 
 
 class TestKm:

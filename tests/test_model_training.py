@@ -170,9 +170,9 @@ def two_pass_forward(model, prep):
     detached text embeddings that feed only the agent head."""
     meta, p = model.meta, model.params
     txt = encoders.embed_text_rows(prep.txt_rows, p)
-    gen_feats, _, _ = encoders.encode_genomic_arrays(
+    gen_feats, _ = encoders.encode_genomic_arrays(
         prep.gen_values, prep.gen_mask, p, n_heads=meta.n_heads)
-    patch_feats, _ = encoders.project_patches(prep.patches, p)
+    patch_feats = encoders.project_patches(prep.patches, p)
 
     def fuse(txt_feats):
         fused = []
@@ -189,7 +189,7 @@ def two_pass_forward(model, prep):
     diag_emb = ad.reshape(ad.narrow(txt, 0, 2, 1), (meta.d_model,))
     gmoe_out = moe.gmoe_hazard(fused_p, fused_g, txt, cancer_emb, diag_emb, p,
                                n_heads=meta.n_heads)
-    agent = moe.agent_logits(*fuse(txt.detach()), p)
+    agent = moe.agent_logits(*fuse(ad.Tensor(txt.data)), p)
     return SimpleNamespace(hazards=gmoe_out.hazards, agent=agent)
 
 
@@ -327,6 +327,47 @@ class TestEvaluate:
         assert all(v is None for v in metrics["per_cancer_cindex"].values())
         assert metrics["warnings"]
 
+    def test_pooled_cv_and_evaluate_score_alike(self, small_cohort, monkeypatch):
+        """Same risks in, same per-cancer C-index, logrank p and warnings
+        out; BRCA's one event comes last, so it has no comparable pair but
+        a logrank test."""
+        records = copy.deepcopy(small_cohort)
+        brca = [r for r in records if r.cancer_type == "BRCA"]
+        for r in brca:
+            r.censored = True
+        brca[3].censored = False
+        brca[3].survival_months = max(r.survival_months for r in brca) + 1.0
+        risk_of = dict(zip([r.id for r in records],
+                           np.random.default_rng(8).standard_normal(len(records))))
+        monkeypatch.setattr(tr, "predict_risk", lambda model, prep: float(risk_of[prep.id]))
+        cfg = tr.TrainConfig(d_model=16, n_experts=2, n_heads=2, n_bins=2, epochs=1,
+                             accum_steps=8, seed=3, sinkhorn_max_iter=10)
+        aggregate, pooled = tr.run_cross_validation(records, cfg, k=2)
+        model = init_model(tr.build_meta(cfg, records), seed=0)
+        metrics, _ = tr.evaluate(records, model)
+        for key in ("per_cancer_cindex", "logrank_p", "warnings"):
+            assert aggregate[key] == metrics[key], key
+        assert metrics["per_cancer_cindex"]["BRCA"] is None
+        assert metrics["logrank_p"]["BRCA"] is not None
+        assert metrics["warnings"] == ["BRCA: no comparable pairs"]
+        assert sorted(pooled["ids"]) == sorted(risk_of)
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to a checkpoint's parsed manifest and write the file
+    back with the new manifest and the original payload."""
+    import json
+    raw = open(path, "rb").read()
+    mlen = int.from_bytes(raw[6:14], "little")
+    manifest = json.loads(raw[14:14 + mlen])
+    edit(manifest)
+    new_manifest = json.dumps(manifest, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"UMPS1\n")
+        fh.write(len(new_manifest).to_bytes(8, "little"))
+        fh.write(new_manifest)
+        fh.write(raw[14 + mlen:])
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical_forward(self, trained, small_cohort, tmp_path):
@@ -364,30 +405,27 @@ class TestCheckpoint:
         model, _ = trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        raw = bytearray((tmp_path / "model.ckpt").read_bytes())
-        import json
-        mlen = int.from_bytes(raw[6:14], "little")
-        manifest = json.loads(raw[14:14 + mlen])
-        manifest["tensors"][0]["shape"][0] += 1
-        new_manifest = json.dumps(manifest, sort_keys=True).encode()
-        # keep the byte length identical by corrupting in-place is fiddly;
-        # instead rewrite the file with the altered manifest
-        with open(path, "wb") as fh:
-            fh.write(b"UMPS1\n")
-            fh.write(len(new_manifest).to_bytes(8, "little"))
-            fh.write(new_manifest)
-            fh.write(bytes(raw[14 + mlen:]))
+
+        def grow(manifest):
+            manifest["tensors"][0]["shape"][0] += 1
+        rewrite_manifest(path, grow)
         with pytest.raises(ModelError, match="shape"):
             load_checkpoint(path)
 
-    def test_float32_checkpoint_loads(self, trained, small_cohort, tmp_path):
+    @pytest.mark.parametrize("field, value, match", [
+        ("dtype", "<f4", "dtype <f4, not <f8"),
+        ("nbytes", 8, "8 bytes for shape"),
+        ("offset", 10 ** 9, "outside the payload"),
+        ("offset", -8, "outside the payload"),
+    ], ids=["dtype-f4", "nbytes", "offset-past-end", "offset-negative"])
+    def test_manifest_tensor_entry_validated(self, trained, tmp_path, field, value, match):
         model, _ = trained
-        path = str(tmp_path / "model32.ckpt")
-        save_checkpoint(path, model, dtype="<f4")
-        loaded = load_checkpoint(path)
-        prep = prepare_patient(small_cohort[0], loaded)
-        out = forward(loaded, prep)
-        assert np.all(np.isfinite(out.hazards.data))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, model)
+        rewrite_manifest(path, lambda m: m["tensors"][-1].__setitem__(field, value))
+        with pytest.raises(ModelError, match=match) as info:
+            load_checkpoint(path)
+        assert path in str(info.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bogus.ckpt"

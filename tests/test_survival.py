@@ -88,26 +88,8 @@ class TestNllLoss:
 
 
 class TestTotalLoss:
-    def test_perfect_prediction_zero(self):
-        curve = sv.HazardCurve.from_hazards([1.0, 0.0])
-        logits = np.array([100.0, 0.0, 0.0, 0.0, 0.0])
-        loss = sv.total_loss([curve], [logits], [0], [False], [0])
-        assert loss < 1e-12
-
     def test_uniform_logits_give_log5(self):
         assert abs(sv.cross_entropy(np.zeros(5), 3) - math.log(5)) < 1e-12
-
-    def test_additivity(self, rng):
-        h = rng.random(4) * 0.8 + 0.1
-        curve = sv.HazardCurve.from_hazards(h)
-        z = rng.standard_normal(5)
-        total = sv.total_loss([curve], [z], [2], [False], [1])
-        parts = sv.cross_entropy(z, 2) + sv.nll_survival_loss(curve, False, 1)
-        assert abs(total - parts) < 1e-12
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(sv.SurvivalError):
-            sv.total_loss([], [], [], [], [])
 
     def test_ce_graph_matches_plain(self, rng):
         z = rng.standard_normal(7)
@@ -302,6 +284,34 @@ class TestMedianSplit:
         r = np.asarray(risks)
         if len(high):
             assert r[low].max() <= r[high].min() + 1e-12
+
+
+class TestCohortMetrics:
+    # LUAD's one event comes last, so no LUAD pair is comparable but its
+    # logrank test can run; UCEC has one patient, so neither can
+    RISKS = [0.3, 0.1, 0.9, 0.5, 0.2, 0.8, 0.4, 0.7]
+    MONTHS = [5.0, 8.0, 2.0, 9.0, 3.0, 4.0, 12.0, 6.0]
+    CENSORED = [False, True, False, True, True, True, False, False]
+    CANCERS = ["BRCA", "BRCA", "BRCA", "BRCA", "LUAD", "LUAD", "LUAD", "UCEC"]
+
+    def test_failures_independent_cindex_warnings_first(self):
+        args = (self.RISKS, self.MONTHS, self.CENSORED, self.CANCERS)
+        per, warnings = sv.per_cancer_cindex(*args)
+        assert list(per) == ["BRCA", "LUAD", "UCEC"]
+        assert per["BRCA"] == sv.concordance_index(self.RISKS[:4], self.MONTHS[:4],
+                                                   self.CENSORED[:4])
+        assert per["LUAD"] is None and per["UCEC"] is None
+        assert warnings == ["LUAD: no comparable pairs",
+                            "UCEC: concordance needs at least two patients"]
+        m = sv.cohort_metrics(*args)
+        assert m["per_cancer_cindex"] == per
+        assert m["overall_mean_cindex"] == per["BRCA"]
+        # LUAD risks 0.2, 0.8, 0.4: the low group holds months 3 and 12
+        assert m["logrank_p"]["LUAD"] == sv.logrank_test(
+            [3.0, 12.0], [False, True], [4.0], [False])[1]
+        assert m["logrank_p"]["UCEC"] is None
+        assert m["warnings"] == warnings + [
+            "UCEC: median split needs at least two patients"]
 
 
 class TestReporting:
