@@ -10,7 +10,7 @@ across patients of one cancer type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +49,11 @@ def attribution_report(model: Model, record) -> CamReport:
     prep = prepare_patient(record, model)
     gen_in = ad.Tensor(prep.gen_values, requires_grad=True)
     patch_in = ad.Tensor(prep.patches, requires_grad=True)
+    # only input gradients are read: the parameters enter as constants (the
+    # same arrays), so the tape records and sweeps no parameter gradient
+    frozen = replace(model, params={k: ad.Tensor(t.data) for k, t in model.params.items()})
     with ad.tape_scope() as tape:
-        out = forward(model, prep, need_agent=False,
+        out = forward(frozen, prep, need_agent=False,
                       gen_values=gen_in, patches=patch_in)
         risk = _risk_graph(out.hazards)
         ad.backward(tape, risk)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,11 +70,10 @@ class PatientMeta:
     treatments: str
 
     def validate(self):
-        for name in ("sex", "age", "race", "cancer_type", "primary_diagnosis",
-                     "stage", "t_stage", "n_stage", "m_stage", "treatments"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is None or (isinstance(v, str) and not v.strip()):
-                raise TemplateError(f"missing meta field: {name}")
+                raise TemplateError(f"missing meta field: {f.name}")
         if self.sex not in SEXES:
             raise TemplateError(f"sex {self.sex!r} not in {SEXES}")
         if self.race not in RACES:
@@ -221,17 +220,11 @@ def read_patch_matrix(path: str) -> np.ndarray:
     return data.reshape(rows, cols).astype(np.float64)
 
 
-def _meta_to_dict(meta: PatientMeta) -> dict:
-    return {k: getattr(meta, k) for k in (
-        "sex", "age", "race", "cancer_type", "primary_diagnosis",
-        "stage", "t_stage", "n_stage", "m_stage", "treatments")}
-
-
 def patient_to_json(rec: PatientRecord, patch_path: str | None = None) -> dict:
     obj = {
         "id": rec.id,
         "cancer_type": rec.cancer_type,
-        "meta": _meta_to_dict(rec.meta),
+        "meta": asdict(rec.meta),
         "patch_features": patch_path if patch_path is not None
         else [[float(x) for x in row] for row in rec.wsi.patch_features],
         "genomic": {grp: {"values": rec.genomic.values[grp].tolist(),
@@ -263,10 +256,11 @@ def write_cohort(path: str, records, binary_patches: bool = False):
 
 def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
     """Parse a JSON Lines cohort. Patch features may be inline arrays or a
-    path (relative to the cohort file) to a binary matrix. Without an
-    explicit schema, positional gene names are derived from group lengths.
-    A line that is not valid JSON, lacks a key or holds a bad value raises
-    CohortError naming `path:line`.
+    path (relative to the cohort file, and inside its directory) to a binary
+    matrix. Without an explicit schema, positional gene names are derived
+    from group lengths. A line that is not valid JSON, lacks a key, holds a
+    bad value or names two different cancer types raises CohortError
+    naming `path:line`.
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
@@ -279,7 +273,10 @@ def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
                 obj = json.loads(line)
                 pf = obj["patch_features"]
                 if isinstance(pf, str):
-                    patches = read_patch_matrix(os.path.join(base, pf))
+                    sidecar = os.path.abspath(os.path.join(base, pf))
+                    if os.path.commonpath([base, sidecar]) != base:
+                        raise ValueError(f"patch sidecar {pf!r} lies outside {base}")
+                    patches = read_patch_matrix(sidecar)
                 else:
                     patches = np.asarray(pf, dtype=np.float64)
                 if schema is None:
@@ -292,6 +289,9 @@ def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
                 )
                 meta = PatientMeta(**obj["meta"])
                 meta.validate()
+                if obj["cancer_type"] != meta.cancer_type:
+                    raise ValueError(f"cancer_type {obj['cancer_type']!r} differs from "
+                                     f"meta cancer_type {meta.cancer_type!r}")
                 records.append(PatientRecord(
                     id=obj["id"], cancer_type=obj["cancer_type"], meta=meta,
                     wsi=WsiBag(patches), genomic=genomic,

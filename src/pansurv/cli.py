@@ -11,6 +11,7 @@ environment variable, then the built-in default. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,6 +50,21 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _check_types(values: dict, cls, what: str):
+    """Each known field must hold its default's type: a JSON array for a
+    tuple, an int for a float, never a bool for a number."""
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        want = type(f.default if f.default is not dataclasses.MISSING
+                    else f.default_factory())
+        ok = isinstance(value, {tuple: (tuple, list), float: (int, float)}.get(want, want))
+        if not ok or (isinstance(value, bool) and want is not bool):
+            kind = "list" if want is tuple else want.__name__
+            raise UsageError(f"{what} field {f.name} must be {kind}, got {value!r}")
+
+
 def _load_json(path: str, what: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"{what} file not found: {path}")
@@ -82,6 +98,7 @@ def cmd_synth(args) -> int:
         spec_dict = _load_json(args.spec, "cohort spec")
     spec_dict.update(_parse_overrides(args.set))
     spec_dict["seed"] = _resolve_seed(args.seed, spec_dict, sg.CohortSpec.seed)
+    _check_types(spec_dict, sg.CohortSpec, "cohort spec")
     try:
         spec = sg.CohortSpec.from_dict(spec_dict)
         spec.validate()
@@ -104,6 +121,7 @@ def _load_config(args) -> tr.TrainConfig:
     cfg_dict["seed"] = _resolve_seed(getattr(args, "seed", None), cfg_dict, 0)
     if getattr(args, "folds", None):
         cfg_dict["folds"] = args.folds
+    _check_types(cfg_dict, tr.TrainConfig, "train config")
     try:
         return tr.TrainConfig.from_dict(cfg_dict)
     except tr.TrainingError as exc:

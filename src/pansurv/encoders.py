@@ -3,7 +3,8 @@
 The six genomic groups are encoded by six transformer encoders with
 unshared parameters; for speed the six weight sets are stored stacked on a
 leading axis and executed as one batched pass (numpy broadcasting), which
-is arithmetically identical to a per-group loop. Patch bags go through a
+is arithmetically identical to a per-group loop. Each encoder is one
+`fusion.decoder_layer` run as masked self-attention. Patch bags go through a
 learned affine projector standing in for a pretrained image backbone. Text
 goes through a frozen, seed-reproducible hashed embedding table followed by
 a small trainable affine adapter and L2 normalization.
@@ -18,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bags import GENOMIC_GROUPS, GenomicBag
+from .fusion import decoder_layer, init_linear
 
 
 class EncoderError(ValueError):
@@ -47,19 +49,15 @@ def pe_matrix(length: int, d_model: int) -> np.ndarray:
 # parameter construction
 # ---------------------------------------------------------------------------
 
-def _linear(rng, fan_in, shape):
-    return ad.parameter(rng.standard_normal(shape) / np.sqrt(fan_in))
-
-
 def init_genomic_params(rng, d_model: int, ffn_mult: int = 2) -> dict:
     """Stacked weights for the six unshared group encoders (depth 1)."""
     g, d, f = len(GENOMIC_GROUPS), d_model, d_model * ffn_mult
     p = {
-        "gen.lift_w": ad.parameter(rng.standard_normal((g, 1, d))),
+        "gen.lift_w": init_linear(rng, 1, (g, 1, d)),
         "gen.lift_b": ad.parameter(np.zeros((g, 1, d))),
-        "gen.ffn_w1": _linear(rng, d, (g, d, f)),
+        "gen.ffn_w1": init_linear(rng, d, (g, d, f)),
         "gen.ffn_b1": ad.parameter(np.zeros((g, 1, f))),
-        "gen.ffn_w2": _linear(rng, f, (g, f, d)),
+        "gen.ffn_w2": init_linear(rng, f, (g, f, d)),
         "gen.ffn_b2": ad.parameter(np.zeros((g, 1, d))),
         "gen.ln1_g": ad.parameter(np.ones((g, 1, d))),
         "gen.ln1_b": ad.parameter(np.zeros((g, 1, d))),
@@ -67,21 +65,21 @@ def init_genomic_params(rng, d_model: int, ffn_mult: int = 2) -> dict:
         "gen.ln2_b": ad.parameter(np.zeros((g, 1, d))),
     }
     for w in ("wq", "wk", "wv", "wo"):
-        p[f"gen.{w}"] = _linear(rng, d, (g, d, d))
+        p[f"gen.{w}"] = init_linear(rng, d, (g, d, d))
         p[f"gen.b{w[1]}"] = ad.parameter(np.zeros((g, 1, d)))
     return p
 
 
 def init_patch_params(rng, d_patch: int, d_model: int) -> dict:
     return {
-        "patch.w": _linear(rng, d_patch, (d_patch, d_model)),
+        "patch.w": init_linear(rng, d_patch, (d_patch, d_model)),
         "patch.b": ad.parameter(np.zeros(d_model)),
     }
 
 
 def init_text_params(rng, d_model: int) -> dict:
     return {
-        "text.adapter_w": _linear(rng, d_model, (d_model, d_model)),
+        "text.adapter_w": init_linear(rng, d_model, (d_model, d_model)),
         "text.adapter_b": ad.parameter(np.zeros(d_model)),
     }
 
@@ -120,15 +118,7 @@ def encode_genomic_arrays(values, mask, params: dict, n_heads: int = 4):
                            params["gen.lift_w"]), params["gen.lift_b"])
     pe = pe_matrix(m.shape[1], params["gen.lift_w"].data.shape[-1])
     x = ad.add(tokens, pe[None, :, :])
-    q = ad.add(ad.matmul(x, params["gen.wq"]), params["gen.bq"])
-    k = ad.add(ad.matmul(x, params["gen.wk"]), params["gen.bk"])
-    v = ad.add(ad.matmul(x, params["gen.wv"]), params["gen.bv"])
-    a = ad.attention(q, k, v, n_heads=n_heads, key_mask=m)
-    a = ad.add(ad.matmul(a, params["gen.wo"]), params["gen.bo"])
-    x = ad.layer_norm(ad.add(x, a), params["gen.ln1_g"], params["gen.ln1_b"])
-    f = ad.relu(ad.add(ad.matmul(x, params["gen.ffn_w1"]), params["gen.ffn_b1"]))
-    f = ad.add(ad.matmul(f, params["gen.ffn_w2"]), params["gen.ffn_b2"])
-    x = ad.layer_norm(ad.add(x, f), params["gen.ln2_g"], params["gen.ln2_b"])
+    x = decoder_layer(x, x, params, "gen", n_heads, key_mask=m)
     return ad.masked_mean(x, m[:, :, None], axis=1), tokens
 
 

@@ -28,8 +28,6 @@ class FusionError(ValueError):
 @dataclass
 class TransportPlan:
     matrix: np.ndarray      # (N_src, N_tgt), nonnegative
-    mu: np.ndarray          # row marginal
-    nu: np.ndarray          # column marginal
     converged: bool
     iterations: int
     violation: float        # max marginal violation at exit
@@ -96,10 +94,7 @@ def sinkhorn(cost, mu, nu, eps: float = 0.1, max_iter: int = 100,
         raise FusionError("cost matrix contains non-finite entries")
     if eps <= 0 or max_iter < 1:
         raise FusionError(f"need eps > 0 and max_iter >= 1, got {eps}, {max_iter}")
-    mu, nu = _check_marginals(mu, nu, C.shape[0], C.shape[1])
-    P, _, it, viol, converged = _sinkhorn_iterate(C, mu, nu, eps, max_iter, tol, False)
-    return TransportPlan(matrix=P, mu=mu, nu=nu, converged=converged,
-                         iterations=it, violation=float(viol))
+    return sinkhorn_plan_op(Tensor(C), mu, nu, eps, max_iter, tol)[1]
 
 
 def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
@@ -129,8 +124,8 @@ def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
                 dg = np.zeros_like(dg)
             ad._acc(cost, dC)
         ad._record(out, _bw)
-    info = TransportPlan(matrix=P, mu=mu, nu=nu, converged=converged,
-                         iterations=it, violation=float(viol))
+    info = TransportPlan(matrix=P, converged=converged, iterations=it,
+                         violation=float(viol))
     return out, info
 
 
@@ -138,12 +133,13 @@ def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
 # OT-based attention + text-guided decoding
 # ---------------------------------------------------------------------------
 
-def init_fusion_params(rng, d_model: int, prefix: str, ffn_mult: int = 2) -> dict:
-    def lin(fan_in, shape):
-        return ad.parameter(rng.standard_normal(shape) / np.sqrt(fan_in))
+def init_linear(rng, fan_in: int, shape: tuple, scale: float = 1.0) -> Tensor:
+    """A weight drawn from N(0, scale^2 / fan_in)."""
+    return ad.parameter(scale * rng.standard_normal(shape) / np.sqrt(fan_in))
 
-    d, f = d_model, d_model * ffn_mult
-    p = {f"{prefix}.cost_w": lin(d, (d, d))}
+
+def init_fusion_params(rng, d_model: int, prefix: str, ffn_mult: int = 2) -> dict:
+    p = {f"{prefix}.cost_w": init_linear(rng, d_model, (d_model, d_model))}
     p.update(init_decoder_layer(rng, d_model, f"{prefix}.dec", ffn_mult))
     return p
 
@@ -158,20 +154,18 @@ def init_decoder_layer(rng, d_model: int, prefix: str, ffn_mult: int = 2,
     value-projected KV rows - a linear readout the optimizer can use
     immediately; attention sharpens as q/k grow.
     """
-    def lin(fan_in, shape, scale=1.0):
-        return ad.parameter(scale * rng.standard_normal(batch + shape) / np.sqrt(fan_in))
-
     def vec(shape, value=0.0):
         return ad.parameter(np.full(batch + ((1,) if batch else ()) + shape, value))
 
     d, f = d_model, d_model * ffn_mult
     p = {}
     for w in ("wq", "wk", "wv", "wo"):
-        p[f"{prefix}.{w}"] = lin(d, (d, d), qk_scale if w in ("wq", "wk") else 1.0)
+        p[f"{prefix}.{w}"] = init_linear(rng, d, batch + (d, d),
+                                         qk_scale if w in ("wq", "wk") else 1.0)
         p[f"{prefix}.b{w[1]}"] = vec((d,))
-    p[f"{prefix}.ffn_w1"] = lin(d, (d, f))
+    p[f"{prefix}.ffn_w1"] = init_linear(rng, d, batch + (d, f))
     p[f"{prefix}.ffn_b1"] = vec((f,))
-    p[f"{prefix}.ffn_w2"] = lin(f, (f, d))
+    p[f"{prefix}.ffn_w2"] = init_linear(rng, f, batch + (f, d))
     p[f"{prefix}.ffn_b2"] = vec((d,))
     p[f"{prefix}.ln1_g"] = vec((d,), 1.0)
     p[f"{prefix}.ln1_b"] = vec((d,))
@@ -181,15 +175,17 @@ def init_decoder_layer(rng, d_model: int, prefix: str, ffn_mult: int = 2,
 
 
 def decoder_layer(queries: Tensor, kv: Tensor, params: dict, prefix: str,
-                  n_heads: int = 4) -> Tensor:
+                  n_heads: int = 4, key_mask=None) -> Tensor:
     """One transformer decoder layer: cross-attention then feed-forward,
-    each with residual + layer norm. Broadcasts over leading weight axes."""
+    each with residual + layer norm. Broadcasts over leading weight axes.
+    With kv = queries it is an encoder (self-attention) layer; `key_mask`
+    is passed on to `autodiff.attention`."""
     if queries.data.shape[-1] != kv.data.shape[-1]:
         raise FusionError(f"query/KV dims differ: {queries.data.shape} vs {kv.data.shape}")
     q = ad.add(ad.matmul(queries, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
     k = ad.add(ad.matmul(kv, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
     v = ad.add(ad.matmul(kv, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    a = ad.attention(q, k, v, n_heads=n_heads)
+    a = ad.attention(q, k, v, n_heads=n_heads, key_mask=key_mask)
     a = ad.add(ad.matmul(a, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
     h = ad.layer_norm(ad.add(queries, a),
                       params[f"{prefix}.ln1_g"], params[f"{prefix}.ln1_b"])

@@ -51,12 +51,6 @@ class ModelMeta:
     text_table_seed: int
     text_table_size: int
 
-    def to_dict(self):
-        d = asdict(self)
-        d["cancer_types"] = list(self.cancer_types)
-        d["bin_edges"] = [float(x) for x in self.bin_edges]
-        return d
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
@@ -120,6 +114,10 @@ def prepare_patient(record: PatientRecord, model: Model) -> PatientPrep:
     if record.wsi.patch_features.shape[1] != meta.d_patch:
         raise ModelError(f"patch dim {record.wsi.patch_features.shape[1]} != "
                          f"model d_patch {meta.d_patch}")
+    for grp, genes in record.genomic.schema.items():
+        if len(genes) != meta.group_sizes.get(grp):
+            raise ModelError(f"patient {record.id}: gene group {grp} has {len(genes)} "
+                             f"genes, model expects {meta.group_sizes.get(grp)}")
     bag = render_text_bag(record.meta)
     txt_rows = np.stack([encoders.frozen_sentence_vector(s, model.table)
                          for s in bag.sentences])
@@ -206,7 +204,7 @@ def save_checkpoint(path: str, model: Model):
                         "dtype": "<f8", "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
         offset += len(raw)
-    manifest = json.dumps({"meta": model.meta.to_dict(), "tensors": tensors},
+    manifest = json.dumps({"meta": asdict(model.meta), "tensors": tensors},
                           sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -218,7 +216,9 @@ def save_checkpoint(path: str, model: Model):
 
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model; every tensor's shape, dtype and extent is validated
-    against the architecture implied by the stored configuration."""
+    against the architecture implied by the stored configuration. Any
+    manifest that cannot be read or built into a model raises ModelError
+    naming `path`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(MAGIC):
@@ -229,30 +229,37 @@ def load_checkpoint(path: str) -> Model:
         manifest = json.loads(data[body:end].decode("utf-8"))
     except ValueError:
         raise ModelError(f"{path}: truncated or unreadable manifest") from None
-    payload = memoryview(data)[end:]
-    meta = ModelMeta.from_dict(manifest["meta"])
-    model = init_model(meta, seed=0)
-    seen = set()
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        if name not in model.params:
-            raise ModelError(f"checkpoint tensor {name!r} unknown to this architecture")
-        expected = tuple(model.params[name].data.shape)
-        if tuple(entry["shape"]) != expected:
-            raise ModelError(f"checkpoint tensor {name!r} has shape {entry['shape']}, "
-                             f"architecture expects {list(expected)}")
-        if entry["dtype"] != "<f8":
-            raise ModelError(f"{path}: tensor {name!r} has dtype {entry['dtype']}, not <f8")
-        if entry["nbytes"] != 8 * int(np.prod(expected)):
-            raise ModelError(f"{path}: tensor {name!r} has {entry['nbytes']} bytes "
-                             f"for shape {list(expected)}")
-        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
-        if start < 0 or stop > len(payload):
-            raise ModelError(f"{path}: tensor {name!r} lies outside the payload")
-        arr = np.frombuffer(payload[start:stop], dtype="<f8").reshape(expected)
-        model.params[name].data = arr.astype(np.float64)
-        seen.add(name)
+    try:
+        model = init_model(ModelMeta.from_dict(manifest["meta"]), seed=0)
+        payload = memoryview(data)[end:]
+        seen = set()
+        for entry in manifest["tensors"]:
+            name = entry["name"]
+            if name not in model.params:
+                raise ModelError(f"{path}: tensor {name!r} unknown to this architecture")
+            expected = tuple(model.params[name].data.shape)
+            if tuple(entry["shape"]) != expected:
+                raise ModelError(f"{path}: tensor {name!r} has shape {entry['shape']}, "
+                                 f"architecture expects {list(expected)}")
+            if entry["dtype"] != "<f8":
+                raise ModelError(f"{path}: tensor {name!r} has dtype {entry['dtype']}, "
+                                 f"not <f8")
+            if entry["nbytes"] != 8 * int(np.prod(expected)):
+                raise ModelError(f"{path}: tensor {name!r} has {entry['nbytes']} bytes "
+                                 f"for shape {list(expected)}")
+            start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
+            if start < 0 or stop > len(payload):
+                raise ModelError(f"{path}: tensor {name!r} lies outside the payload")
+            arr = np.frombuffer(payload[start:stop], dtype="<f8").reshape(expected)
+            model.params[name].data = arr.astype(np.float64)
+            seen.add(name)
+    except ModelError:
+        raise
+    except KeyError as exc:
+        raise ModelError(f"{path}: manifest lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: bad manifest: {exc}") from None
     missing = set(model.params) - seen
     if missing:
-        raise ModelError(f"checkpoint is missing tensors: {sorted(missing)}")
+        raise ModelError(f"{path}: checkpoint is missing tensors: {sorted(missing)}")
     return model

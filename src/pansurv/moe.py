@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import decoder_layer, init_decoder_layer
-from .survival import HazardCurve, cumulative_survival
+from .survival import HazardCurve
 
 
 class MoeError(ValueError):
@@ -122,9 +122,8 @@ def gmoe_hazard(fused_p: Tensor, fused_g: Tensor, txt: Tensor,
     gate = gate_weights(cancer_emb, diag_emb, params)
     mixed = ad.matmul(ad.reshape(gate, (1, n_e)), logits)
     hazards = ad.sigmoid(ad.reshape(mixed, (logits.data.shape[1],)))
-    curve = HazardCurve(hazards=hazards.data.copy(),
-                        survival=cumulative_survival(hazards.data))
-    return GmoeOutput(hazards=hazards, curve=curve, gate=gate, expert_logits=logits)
+    return GmoeOutput(hazards=hazards, curve=HazardCurve.from_hazards(hazards.data),
+                      gate=gate, expert_logits=logits)
 
 
 def agent_logits(fused_p: Tensor, fused_g: Tensor, params: dict) -> Tensor:

@@ -1,9 +1,9 @@
 """AdamW with decoupled weight decay.
 
-Gradient accumulation is the caller's job: backward() adds into each
-parameter's .grad, so summing gradients over a 32-patient window is just
-deferring step()/zero_grad(). Defaults follow the training recipe
-(lr 2e-4, weight decay 1e-5).
+Gradient accumulation is the caller's job: step() applies whatever each
+parameter's .grad holds. `training.train` sums the completed per-patient
+gradients of a 32-patient window and sets the sums as .grad before each
+step. Defaults follow the training recipe (lr 2e-4, weight decay 1e-5).
 """
 
 from __future__ import annotations

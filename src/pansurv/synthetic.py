@@ -216,7 +216,7 @@ def generate_cohort(spec: CohortSpec):
             }
             pid += 1
     truth = {
-        "spec": _spec_dict(spec),
+        "spec": asdict(spec),
         "planted": layout["names"],
         "planted_indices": {g: layout["indices"][g].tolist() for g in GENOMIC_GROUPS},
         "weights": {c: {g: layout["weights"][c][g].tolist() for g in GENOMIC_GROUPS}
@@ -224,15 +224,6 @@ def generate_cohort(spec: CohortSpec):
         "patients": truth_patients,
     }
     return records, truth
-
-
-def _spec_dict(spec: CohortSpec) -> dict:
-    d = asdict(spec)
-    d["cancers"] = list(spec.cancers)
-    d["patch_range"] = list(spec.patch_range)
-    d["gene_weights"] = list(spec.gene_weights)
-    d["baselines"] = list(spec.baselines)
-    return d
 
 
 def write_truth(path: str, truth: dict):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,21 @@ def gradcheck(build, inputs: dict, tol: float = 1e-5, h: float = 1e-6) -> float:
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch for {name!r}: rel err {err:.3e} >= {tol}"
     return worst
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to a checkpoint's parsed manifest and write the file
+    back with the new manifest and the original payload."""
+    raw = open(path, "rb").read()
+    mlen = int.from_bytes(raw[6:14], "little")
+    manifest = json.loads(raw[14:14 + mlen])
+    edit(manifest)
+    new_manifest = json.dumps(manifest, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"UMPS1\n")
+        fh.write(len(new_manifest).to_bytes(8, "little"))
+        fh.write(new_manifest)
+        fh.write(raw[14 + mlen:])
 
 
 @pytest.fixture

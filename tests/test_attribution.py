@@ -33,6 +33,13 @@ def model(cohort):
 
 
 class TestGeneCam:
+    def test_parameters_get_no_gradient(self, model, cohort):
+        records, _ = cohort
+        for t in model.params.values():
+            t.grad = None
+        attr.attribution_report(model, records[0])
+        assert [n for n, t in model.params.items() if t.grad is not None] == []
+
     def test_scores_shape_and_sign(self, model, cohort):
         records, _ = cohort
         scores = attr.attribution_report(model, records[0]).gene_scores

@@ -13,6 +13,8 @@ from pansurv import bags
 from pansurv import synthetic as sg
 from pansurv.cli import main
 
+from conftest import rewrite_manifest
+
 SPEC = {
     "cancers": ["BLCA", "BRCA"],
     "baselines": [-2.0, -1.5],
@@ -96,13 +98,27 @@ class TestSynth:
         spec_path.write_text(json.dumps(SPEC))
         monkeypatch.setenv("UMPS_SEED", "99")
         assert main(["synth", "--spec", str(spec_path),
-                     "--set", "cases_per_cancer=10",
+                     "--set", "cases_per_cancer=10", "--set", "cluster_shift=3",
                      "--out", str(tmp_path / "env")]) == 0
         records = bags.read_cohort(str(tmp_path / "env" / "cohort.jsonl"))
         assert len(records) == 20
         truth = json.loads((tmp_path / "env" / "truth.json").read_text())
         assert truth["spec"]["seed"] == 99
         assert truth["spec"]["cases_per_cancer"] == 10
+        assert truth["spec"]["cluster_shift"] == 3  # an int is a valid float
+
+    @pytest.mark.parametrize("command, setting, field", [
+        ("synth", "patch_range=[2,3]", "patch_range"),
+        ("train", "epochs=1.5", "epochs"),
+        ("train", "lr=true", "lr"),
+    ], ids=["synth-list-as-text", "train-float-for-int", "train-bool-for-float"])
+    def test_wrong_type_set_value_exit_2(self, workdir, tmp_path, command, setting, field):
+        data = ["--data", workdir / "cohort" / "cohort.jsonl"] if command == "train" else []
+        proc = run_cli(command, *data, "--set", setting, "--out", tmp_path / "out")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
 
     def test_binary_patch_sidecars(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -185,6 +201,40 @@ class TestEval:
         assert_runtime_error(proc)
         assert "LUAD" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_other_gene_group_sizes_exit_1(self, workdir, tmp_path, command):
+        sizes = {g: 5 for g in sg.GENOMIC_GROUPS}
+        sizes["TF"] = 6
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, "group_sizes": sizes}))
+        assert main(["synth", "--spec", str(spec_path), "--seed", "7",
+                     "--out", str(tmp_path / "cohort")]) == 0
+        data = tmp_path / "cohort" / "cohort.jsonl"
+        first = json.loads(data.read_text().splitlines()[0])["id"]
+        proc = run_cli(command, "--data", data,
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt",
+                       "--out", tmp_path / "out.json")
+        assert_runtime_error(proc)
+        assert f"patient {first}: gene group TF has 6 genes, model expects 5" \
+            in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("meta"), "manifest lacks 'meta'"),
+        (lambda m: m.pop("tensors"), "manifest lacks 'tensors'"),
+        (lambda m: m["meta"].__setitem__("colour", 1), "'colour'"),
+        (lambda m: m["meta"].__setitem__("d_model", "x"), "bad manifest"),
+        (lambda m: m["meta"].__setitem__("n_experts", 0), "need at least one expert"),
+    ], ids=["no-meta", "no-tensors", "unknown-meta-field", "text-d_model",
+            "zero-experts"])
+    def test_bad_manifest_exit_1(self, workdir, tmp_path, edit, message):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((workdir / "run" / "fold_0.ckpt").read_bytes())
+        rewrite_manifest(str(ckpt), edit)
+        proc = run_cli("eval", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--checkpoint", ckpt)
+        assert_runtime_error(proc)
+        assert f"{ckpt}: " in proc.stderr and message in proc.stderr
+
     def test_non_finite_risk_exit_1(self, workdir, tmp_path):
         lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
         rec = json.loads(lines[5])
@@ -242,7 +292,9 @@ class TestCohortErrors:
          "missing key 'survival_months'"),
         (lambda line: json.dumps({**json.loads(line), "meta": {
             **json.loads(line)["meta"], "sex": "unknown"}}), "sex 'unknown'"),
-    ], ids=["bad-json", "missing-key", "bad-meta"])
+        (lambda line: json.dumps({**json.loads(line), "cancer_type": "BRCA"}),
+         "cancer_type 'BRCA' differs from meta cancer_type 'BLCA'"),
+    ], ids=["bad-json", "missing-key", "bad-meta", "cancer-mismatch"])
     def test_bad_line_exit_1_names_path_and_line(self, workdir, tmp_path, damage, message):
         lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
         lines[2] = damage(lines[2])
@@ -252,6 +304,23 @@ class TestCohortErrors:
                        "--checkpoint", workdir / "run" / "fold_0.ckpt")
         assert_runtime_error(proc)
         assert f"{data}:3: " in proc.stderr and message in proc.stderr
+
+
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_sidecar_outside_cohort_dir_exit_1(self, workdir, tmp_path, where):
+        lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        outside = tmp_path / "outside.bin"
+        bags.write_patch_matrix(str(outside), np.asarray(rec["patch_features"]))
+        rec["patch_features"] = "../outside.bin" if where == "relative" else str(outside)
+        lines[2] = json.dumps(rec)
+        data = tmp_path / "cohort" / "cohort.jsonl"
+        data.parent.mkdir()
+        data.write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", "--data", data,
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt")
+        assert_runtime_error(proc)
+        assert f"{data}:3: patch sidecar" in proc.stderr and "lies outside" in proc.stderr
 
 
 class TestKm:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pansurv import autodiff as ad
 from pansurv import encoders, fusion, moe
@@ -14,6 +15,8 @@ from pansurv import training as tr
 from pansurv.model import (forward, init_model, load_checkpoint, ModelError,
                            prepare_patient, save_checkpoint)
 from pansurv.optim import AdamW
+
+from conftest import rewrite_manifest
 
 
 @pytest.fixture(scope="module")
@@ -353,22 +356,6 @@ class TestEvaluate:
         assert sorted(pooled["ids"]) == sorted(risk_of)
 
 
-def rewrite_manifest(path, edit):
-    """Apply `edit` to a checkpoint's parsed manifest and write the file
-    back with the new manifest and the original payload."""
-    import json
-    raw = open(path, "rb").read()
-    mlen = int.from_bytes(raw[6:14], "little")
-    manifest = json.loads(raw[14:14 + mlen])
-    edit(manifest)
-    new_manifest = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(b"UMPS1\n")
-        fh.write(len(new_manifest).to_bytes(8, "little"))
-        fh.write(new_manifest)
-        fh.write(raw[14 + mlen:])
-
-
 class TestCheckpoint:
     def test_roundtrip_bit_identical_forward(self, trained, small_cohort, tmp_path):
         model, _ = trained
@@ -432,3 +419,34 @@ class TestCheckpoint:
         p.write_bytes(b"NOTMAGIC" + b"\0" * 32)
         with pytest.raises(ModelError, match="magic"):
             load_checkpoint(str(p))
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(small_cohort, tmp_path_factory):
+    cfg = tr.TrainConfig(d_model=8, n_bins=2, n_experts=1, n_heads=2)
+    path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    save_checkpoint(str(path), init_model(tr.build_meta(cfg, small_cohort), seed=0))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_model_error(small_checkpoint, data):
+    """A truncated checkpoint, or one with a single byte changed, either
+    loads or raises ModelError naming the file; nothing else escapes."""
+    path, raw = small_checkpoint
+    header = 14 + int.from_bytes(raw[6:14], "little")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half of the flips land in the magic, length field or manifest
+        pos = data.draw(st.one_of(st.integers(0, header - 1),
+                                  st.integers(0, len(raw) - 1)), label="position")
+        damaged = bytearray(raw)
+        damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    bad = path.with_name("damaged.ckpt")
+    bad.write_bytes(bytes(damaged))
+    try:
+        load_checkpoint(str(bad))
+    except ModelError as exc:
+        assert str(bad) in str(exc)
