@@ -19,7 +19,6 @@ LOG_FLOOR = 1e-12
 _NEG_INF = -1e30  # additive mask bias; finite so max-subtraction stays NaN-free
 
 _tape = None
-_check_finite = False
 
 
 class ShapeError(ValueError):
@@ -28,10 +27,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Backward called on an invalid target (e.g. non-scalar output)."""
-
-
-class NonFiniteError(FloatingPointError):
-    """An operation produced a non-finite value while checks were enabled."""
 
 
 class Tape:
@@ -59,12 +54,6 @@ class tape_scope:
         global _tape
         _tape = self._prev
         return False
-
-
-def set_finite_checks(enabled: bool):
-    """Toggle per-op finiteness validation (slow; for NaN diagnostics)."""
-    global _check_finite
-    _check_finite = bool(enabled)
 
 
 class Tensor:
@@ -132,13 +121,11 @@ def as_tensor(x) -> Tensor:
 
 
 def _wrap(data, requires_grad, opname) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite output of {opname}")
     t = Tensor.__new__(Tensor)
     t.data = data
     t.requires_grad = requires_grad and _tape is not None
     t.grad = None
-    t.name = opname if _check_finite else None
+    t.name = opname
     return t
 
 

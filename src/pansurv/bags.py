@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -141,6 +142,57 @@ class PatientRecord:
     censored: bool
 
 
+# ---------------------------------------------------------------------------
+# JSON records
+# ---------------------------------------------------------------------------
+
+def _fits(tp, value) -> bool:
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if get_origin(tp) is dict:
+        return isinstance(value, dict) and all(_fits(args[1], v) for v in value.values())
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def _type_name(tp) -> str:
+    if get_origin(tp) is tuple:
+        return f"list of {_type_name(get_args(tp)[0])}"
+    if get_origin(tp) is dict:
+        return f"object of {_type_name(get_args(tp)[1])}"
+    return tp.__name__
+
+
+def decode(cls, obj):
+    """The dataclass `cls` built from a decoded JSON object.
+
+    Every key must name a field and every field without a default must be
+    present. Every value must have its field's annotated type, element by
+    element: a JSON array becomes a tuple, an int is a valid float (and
+    stays an int), a bool is never a number. Raises ValueError naming the
+    field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing field {f.name}")
+            continue
+        tp, value = hints[f.name], obj[f.name]
+        if not _fits(tp, value):
+            raise ValueError(f"field {f.name} must be {_type_name(tp)}, got {value!r}")
+        values[f.name] = tuple(value) if get_origin(tp) is tuple else value
+    return cls(**values)
+
+
 def cancer_full_name(code: str) -> str:
     return CANCER_FULL_NAMES.get(code, code)
 
@@ -264,7 +316,7 @@ def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -50,40 +50,36 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _check_types(values: dict, cls, what: str):
-    """Each known field must hold its default's type: a JSON array for a
-    tuple, an int for a float, never a bool for a number."""
-    for f in dataclasses.fields(cls):
-        if f.name not in values:
-            continue
-        value = values[f.name]
-        want = type(f.default if f.default is not dataclasses.MISSING
-                    else f.default_factory())
-        ok = isinstance(value, {tuple: (tuple, list), float: (int, float)}.get(want, want))
-        if not ok or (isinstance(value, bool) and want is not bool):
-            kind = "list" if want is tuple else want.__name__
-            raise UsageError(f"{what} field {f.name} must be {kind}, got {value!r}")
-
-
-def _load_json(path: str, what: str) -> dict:
+def _load_json(path: str, what: str):
     if not os.path.exists(path):
         raise UsageError(f"{what} file not found: {path}")
     with open(path) as fh:
-        return json.load(fh)
-
-
-def _resolve_seed(flag_seed, cfg: dict, default: int) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("UMPS_SEED")
-    if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"UMPS_SEED must be an integer, got {env!r}")
-    return default
+            return json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def _load_record(cls, what: str, path, args):
+    """The `cls` record from the JSON object at `path` (if any), updated by
+    `--set` pairs, the seed and the --seed/--folds flags, then decoded and
+    validated; every failure is a UsageError."""
+    values = _load_json(path, what) if path else {}
+    if not isinstance(values, dict):
+        raise UsageError(f"{what} file {path} must hold a JSON object, "
+                         f"not {type(values).__name__}")
+    values.update(_parse_overrides(args.set))
+    if "seed" not in values and "UMPS_SEED" in os.environ:
+        values["seed"] = _typed(os.environ["UMPS_SEED"])
+    for flag in ("seed", "folds"):
+        if getattr(args, flag, None) is not None:
+            values[flag] = getattr(args, flag)
+    try:
+        record = bags.decode(cls, values)
+        record.validate()
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}") from None
+    return record
 
 
 def _require_file(path: str, what: str) -> str:
@@ -93,17 +89,7 @@ def _require_file(path: str, what: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    spec_dict = {}
-    if args.spec:
-        spec_dict = _load_json(args.spec, "cohort spec")
-    spec_dict.update(_parse_overrides(args.set))
-    spec_dict["seed"] = _resolve_seed(args.seed, spec_dict, sg.CohortSpec.seed)
-    _check_types(spec_dict, sg.CohortSpec, "cohort spec")
-    try:
-        spec = sg.CohortSpec.from_dict(spec_dict)
-        spec.validate()
-    except sg.SpecError as exc:
-        raise UsageError(str(exc))
+    spec = _load_record(sg.CohortSpec, "cohort spec", args.spec, args)
     records, truth = sg.generate_cohort(spec)
     os.makedirs(args.out, exist_ok=True)
     cohort_path = os.path.join(args.out, "cohort.jsonl")
@@ -113,24 +99,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> tr.TrainConfig:
-    cfg_dict = {}
-    if getattr(args, "config", None):
-        cfg_dict = _load_json(args.config, "train config")
-    cfg_dict.update(_parse_overrides(args.set))
-    cfg_dict["seed"] = _resolve_seed(getattr(args, "seed", None), cfg_dict, 0)
-    if getattr(args, "folds", None):
-        cfg_dict["folds"] = args.folds
-    _check_types(cfg_dict, tr.TrainConfig, "train config")
-    try:
-        return tr.TrainConfig.from_dict(cfg_dict)
-    except tr.TrainingError as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_train(args) -> int:
     records = bags.read_cohort(_require_file(args.data, "cohort"))
-    config = _load_config(args)
+    config = _load_record(tr.TrainConfig, "train config", args.config, args)
     os.makedirs(args.out, exist_ok=True)
     aggregate, _ = tr.run_cross_validation(records, config, k=config.folds,
                                            out_dir=args.out,
@@ -191,9 +162,14 @@ def cmd_km(args) -> int:
                       for rec in records}
     else:
         raw = _load_json(args.risks, "risk")
-        rows = raw if isinstance(raw, list) else [{"id": k, "risk": v}
-                                                  for k, v in raw.items()]
-        risk_by_id = {row["id"]: float(row["risk"]) for row in rows}
+        try:
+            rows = raw if isinstance(raw, list) else [{"id": k, "risk": v}
+                                                      for k, v in raw.items()]
+            risk_by_id = {row["id"]: float(row["risk"]) for row in rows}
+        except KeyError as exc:
+            raise UsageError(f"risk file {args.risks}: a row lacks {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise UsageError(f"risk file {args.risks}: {exc}") from None
     missing = [rec.id for rec in records if rec.id not in risk_by_id]
     if missing:
         raise UsageError(f"risks missing for {len(missing)} patients, e.g. {missing[0]}")
@@ -213,17 +189,18 @@ def cmd_km(args) -> int:
 
 def cmd_sweep(args) -> int:
     records = bags.read_cohort(_require_file(args.data, "cohort"))
-    config = _load_config(args)
+    config = _load_record(tr.TrainConfig, "train config", args.config, args)
     try:
         expert_counts = [int(x) for x in args.experts.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"--experts expects comma-separated integers, got {args.experts!r}")
-    if not expert_counts:
-        raise UsageError("--experts list is empty")
+        expert_counts = []
+    if not expert_counts or min(expert_counts) < 1:
+        raise UsageError(f"--experts expects comma-separated positive integers, "
+                         f"got {args.experts!r}")
     os.makedirs(args.out, exist_ok=True)
     table = {}
     for n_e in expert_counts:
-        cfg = tr.TrainConfig.from_dict({**config.to_dict(), "n_experts": n_e})
+        cfg = dataclasses.replace(config, n_experts=n_e)
         run_dir = os.path.join(args.out, f"experts_{n_e}")
         aggregate, _ = tr.run_cross_validation(records, cfg, k=cfg.folds,
                                                out_dir=run_dir,

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders, fusion, moe
 from .autodiff import Tensor
-from .bags import PatientRecord, assign_time_bin, render_text_bag
+from .bags import PatientRecord, assign_time_bin, decode, render_text_bag
 
 MAGIC = b"UMPS1\n"
 
@@ -45,18 +45,24 @@ class ModelMeta:
     sinkhorn_eps: float
     sinkhorn_max_iter: int
     sinkhorn_tol: float
-    cancer_types: tuple
-    group_sizes: dict
-    bin_edges: tuple
+    cancer_types: tuple[str, ...]
+    group_sizes: dict[str, int]
+    bin_edges: tuple[float, ...]
     text_table_seed: int
     text_table_size: int
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["cancer_types"] = tuple(d["cancer_types"])
-        d["bin_edges"] = tuple(d["bin_edges"])
-        return cls(**d)
+
+def check_architecture(cfg):
+    """The rules every model shape obeys, for a ModelMeta or a TrainConfig:
+    positive sizes and Sinkhorn settings, and an even d_model that the
+    heads divide. Raises ValueError naming the field."""
+    for name in ("d_model", "n_bins", "n_experts", "n_heads", "ffn_mult", "sinkhorn_eps",
+                 "sinkhorn_max_iter", "sinkhorn_tol", "text_table_size"):
+        if not getattr(cfg, name) > 0:
+            raise ValueError(f"field {name} must be positive, got {getattr(cfg, name)}")
+    if cfg.d_model % 2 or cfg.d_model % cfg.n_heads:
+        raise ValueError(f"field d_model must be even and divisible by n_heads, got "
+                         f"d_model {cfg.d_model} and n_heads {cfg.n_heads}")
 
 
 @dataclass
@@ -230,7 +236,9 @@ def load_checkpoint(path: str) -> Model:
     except ValueError:
         raise ModelError(f"{path}: truncated or unreadable manifest") from None
     try:
-        model = init_model(ModelMeta.from_dict(manifest["meta"]), seed=0)
+        meta = decode(ModelMeta, manifest["meta"])
+        check_architecture(meta)
+        model = init_model(meta, seed=0)
         payload = memoryview(data)[end:]
         seen = set()
         for entry in manifest["tensors"]:

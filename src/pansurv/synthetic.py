@@ -43,19 +43,19 @@ class SpecError(ValueError):
 
 @dataclass
 class CohortSpec:
-    cancers: tuple = DEFAULT_CANCERS
+    cancers: tuple[str, ...] = DEFAULT_CANCERS
     cases_per_cancer: int = 100
     d_patch: int = 32
-    patch_range: tuple = (8, 32)
-    group_sizes: dict = field(default_factory=lambda: {g: 8 for g in GENOMIC_GROUPS})
+    patch_range: tuple[int, ...] = (8, 32)
+    group_sizes: dict[str, int] = field(default_factory=lambda: {g: 8 for g in GENOMIC_GROUPS})
     planted_per_group: int = 3
-    gene_weights: tuple = (1.0, 0.8, 0.6)
+    gene_weights: tuple[float, ...] = (1.0, 0.8, 0.6)
     plant_shift: float = 0.8
     cluster_effect: float = 1.2
     cluster_prob: float = 0.4
     cluster_frac: float = 0.3
     cluster_shift: float = 2.5
-    baselines: tuple = _DEFAULT_BASELINES
+    baselines: tuple[float, ...] = _DEFAULT_BASELINES
     censoring_rate: float = 0.25
     months_per_bin: float = 6.0
     max_bins: int = 64
@@ -75,21 +75,8 @@ class CohortSpec:
             raise SpecError("gene_weights length must equal planted_per_group")
         if any(self.group_sizes[g] < self.planted_per_group for g in GENOMIC_GROUPS):
             raise SpecError("every group must fit the planted genes")
-        if self.patch_range[0] < 1 or self.patch_range[0] > self.patch_range[1]:
+        if len(self.patch_range) != 2 or not 1 <= self.patch_range[0] <= self.patch_range[1]:
             raise SpecError(f"bad patch range {self.patch_range}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CohortSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise SpecError(f"unknown cohort spec fields: {sorted(unknown)}")
-        spec = cls(**d)
-        spec.cancers = tuple(spec.cancers)
-        spec.patch_range = tuple(spec.patch_range)
-        spec.gene_weights = tuple(spec.gene_weights)
-        spec.baselines = tuple(spec.baselines)
-        return spec
 
 
 def _sigmoid(x):

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import survival as sv
 from .bags import compute_bin_edges
-from .model import Model, ModelMeta, ForwardOutput, forward, init_model, \
-    prepare_patient, save_checkpoint
+from .model import Model, ModelMeta, ForwardOutput, check_architecture, forward, \
+    init_model, prepare_patient, save_checkpoint
 from .optim import AdamW
 from .synthetic import kfold_split
 
@@ -48,28 +48,11 @@ class TrainConfig:
     text_table_seed: int = 1234
 
     def validate(self):
-        positive = ("d_model", "n_bins", "n_experts", "n_heads", "ffn_mult",
-                    "sinkhorn_eps", "sinkhorn_max_iter", "sinkhorn_tol", "lr",
-                    "epochs", "folds", "text_table_size")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise TrainingError(f"config field {name} must be positive")
-        if self.accum_steps < 1:
-            raise TrainingError("accum_steps must be >= 1")
-        if self.d_model % self.n_heads:
-            raise TrainingError("d_model must be divisible by n_heads")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise TrainingError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        """Raises ValueError naming the first field that breaks a rule."""
+        check_architecture(self)
+        for name in ("lr", "epochs", "accum_steps", "folds"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"field {name} must be positive, got {getattr(self, name)}")
 
 
 def build_meta(config: TrainConfig, records, cancer_types=None) -> ModelMeta:
@@ -95,20 +78,6 @@ def patient_loss(out: ForwardOutput, prep) -> ad.Tensor:
     if out.agent is not None:
         loss = ad.add(loss, sv.cross_entropy_graph(out.agent, prep.cancer_idx))
     return loss
-
-
-def _diagnose_non_finite(model, prep):
-    """Replay the forward with per-op checks to name the first bad tensor."""
-    ad.set_finite_checks(True)
-    try:
-        with ad.tape_scope():
-            out = forward(model, prep)
-            patient_loss(out, prep)
-    except ad.NonFiniteError as exc:
-        return str(exc)
-    finally:
-        ad.set_finite_checks(False)
-    return "loss (non-finite after reduction)"
 
 
 def train(records, config: TrainConfig, val_records=None, cancer_types=None,
@@ -147,9 +116,12 @@ def train(records, config: TrainConfig, val_records=None, cancer_types=None,
                 out = forward(model, prep)
                 loss = patient_loss(out, prep)
                 if not np.isfinite(loss.data):
+                    # the tape holds every recorded op output in order
+                    bad = next(t.name for t, _ in tape.nodes
+                               if not np.all(np.isfinite(t.data)))
                     raise TrainingError(
                         f"non-finite loss for patient {prep.id} (epoch {epoch}): "
-                        f"first non-finite tensor: {_diagnose_non_finite(model, prep)}")
+                        f"first non-finite tensor: non-finite output of {bad}")
                 ad.backward(tape, loss)
             # sum completed per-patient gradients (bit-identical to an
             # explicit 32-gradient sum before one step)

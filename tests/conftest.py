@@ -45,7 +45,8 @@ def gradcheck(build, inputs: dict, tol: float = 1e-5, h: float = 1e-6) -> float:
 def rewrite_manifest(path, edit):
     """Apply `edit` to a checkpoint's parsed manifest and write the file
     back with the new manifest and the original payload."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     mlen = int.from_bytes(raw[6:14], "little")
     manifest = json.loads(raw[14:14 + mlen])
     edit(manifest)

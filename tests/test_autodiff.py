@@ -333,15 +333,6 @@ class TestNumericalContracts:
         a, b = run(), run()
         assert np.array_equal(a, b)
 
-    def test_finite_check_mode_names_op(self):
-        ad.set_finite_checks(True)
-        try:
-            with np.errstate(over="ignore"):
-                with pytest.raises(ad.NonFiniteError, match="exp"):
-                    ad.exp(ad.Tensor([1000.0]))
-        finally:
-            ad.set_finite_checks(False)
-
 
 class TestAdamW:
     def _params(self, values):

@@ -1,11 +1,15 @@
 """Data-bag formation: templates, genomic bags, time binning, I/O."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pansurv import bags
+from pansurv import synthetic as sg
+from pansurv import training as tr
 
 
 def make_meta(**overrides):
@@ -147,25 +151,26 @@ class TestTimeBinning:
         assert binned == sorted(binned)
 
 
-class TestCohortIO:
-    def _records(self, rng, n=4):
-        schema = {g: [f"{g}_{i:04d}" for i in range(3)] for g in bags.GENOMIC_GROUPS}
-        recs = []
-        for i in range(n):
-            genomic = bags.GenomicBag(
-                values={g: rng.standard_normal(3) * np.array([1, 1, 0]) for g in bags.GENOMIC_GROUPS},
-                mask={g: np.array([1.0, 1.0, 0.0]) for g in bags.GENOMIC_GROUPS},
-                schema=schema,
-            )
-            recs.append(bags.PatientRecord(
-                id=f"P{i:03d}", cancer_type="BRCA", meta=make_meta(),
-                wsi=bags.WsiBag(rng.standard_normal((5, 6))), genomic=genomic,
-                survival_months=float(10 + i), censored=bool(i % 2),
-            ))
-        return recs
+def make_records(rng, n=4):
+    schema = {g: [f"{g}_{i:04d}" for i in range(3)] for g in bags.GENOMIC_GROUPS}
+    recs = []
+    for i in range(n):
+        genomic = bags.GenomicBag(
+            values={g: rng.standard_normal(3) * np.array([1, 1, 0]) for g in bags.GENOMIC_GROUPS},
+            mask={g: np.array([1.0, 1.0, 0.0]) for g in bags.GENOMIC_GROUPS},
+            schema=schema,
+        )
+        recs.append(bags.PatientRecord(
+            id=f"P{i:03d}", cancer_type="BRCA", meta=make_meta(),
+            wsi=bags.WsiBag(rng.standard_normal((5, 6))), genomic=genomic,
+            survival_months=float(10 + i), censored=bool(i % 2),
+        ))
+    return recs
 
+
+class TestCohortIO:
     def test_roundtrip_inline(self, rng, tmp_path):
-        recs = self._records(rng)
+        recs = make_records(rng)
         path = tmp_path / "cohort.jsonl"
         bags.write_cohort(str(path), recs)
         back = bags.read_cohort(str(path))
@@ -175,7 +180,7 @@ class TestCohortIO:
         assert back[1].censored is True and back[0].censored is False
 
     def test_roundtrip_binary_sidecars(self, rng, tmp_path):
-        recs = self._records(rng)
+        recs = make_records(rng)
         path = tmp_path / "cohort.jsonl"
         bags.write_cohort(str(path), recs, binary_patches=True)
         assert (tmp_path / "cohort.jsonl.P000.patches.bin").exists()
@@ -195,3 +200,53 @@ class TestCohortIO:
     def test_wsi_bag_requires_patches(self):
         with pytest.raises(ValueError):
             bags.WsiBag(np.zeros((0, 4)))
+
+
+@pytest.fixture(scope="module")
+def cohort_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cohort") / "cohort.jsonl"
+    bags.write_cohort(str(path), make_records(np.random.default_rng(5), n=3))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_cohort_reads_or_raises_cohort_error(cohort_file, data):
+    """A truncated cohort file, or one with a single byte changed, either
+    reads or raises CohortError naming the file; nothing else escapes."""
+    path, raw = cohort_file
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        damaged = bytearray(raw)
+        damaged[data.draw(st.integers(0, len(raw) - 1), label="position")] ^= \
+            data.draw(st.integers(1, 255), label="xor")
+    bad = path.with_name("damaged.jsonl")
+    bad.write_bytes(bytes(damaged))
+    try:
+        records = bags.read_cohort(str(bad))
+    except bags.CohortError as exc:
+        assert str(bad) in str(exc)
+    else:
+        assert all(isinstance(r, bags.PatientRecord) for r in records)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=3)
+_VALUES = st.sampled_from([
+    _SCALARS, st.lists(_SCALARS, max_size=4),
+    st.dictionaries(st.sampled_from(bags.GENOMIC_GROUPS) | st.text(max_size=3), _SCALARS,
+                    max_size=6)]).flatmap(lambda kind: kind)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_decoded_record_validates_or_raises_value_error(data):
+    """Any JSON object decoded as a cohort spec or train config and then
+    validated either passes or raises a ValueError."""
+    cls = data.draw(st.sampled_from([sg.CohortSpec, tr.TrainConfig]), label="cls")
+    names = st.sampled_from([f.name for f in fields(cls)] + ["bogus"])
+    obj = data.draw(st.dictionaries(names, _VALUES, min_size=1, max_size=2), label="obj")
+    try:
+        bags.decode(cls, obj).validate()
+    except ValueError:
+        pass

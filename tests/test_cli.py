@@ -45,8 +45,8 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
-def assert_runtime_error(proc):
-    assert proc.returncode == 1, proc.stderr
+def assert_error_line(proc, code):
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -120,6 +120,18 @@ class TestSynth:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
 
+    @pytest.mark.parametrize("field, value", [
+        ("patch_range", ["2", 3]),
+        ("gene_weights", [1.0, "x", 0.6]),
+        ("group_sizes", {**SPEC["group_sizes"], "TSG": "8"}),
+    ], ids=["patch-range", "gene-weights", "group-sizes"])
+    def test_wrong_element_type_in_spec_exit_2(self, tmp_path, field, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, field: value}))
+        proc = run_cli("synth", "--spec", spec_path, "--out", tmp_path / "out")
+        assert_error_line(proc, 2)
+        assert f"cohort spec: field {field} must be " in proc.stderr
+
     def test_binary_patch_sidecars(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**SPEC, "cases_per_cancer": 10}))
@@ -161,6 +173,13 @@ class TestTrain:
         assert main(["train", "--data", str(workdir / "cohort" / "cohort.jsonl"),
                      "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_heads_not_dividing_odd_width_exit_2(self, workdir, tmp_path):
+        proc = run_cli("train", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--set", "d_model=15", "--set", "n_heads=3",
+                       "--out", tmp_path / "run")
+        assert_error_line(proc, 2)
+        assert "field d_model must be even and divisible by n_heads" in proc.stderr
+
     def test_collapsed_bin_edges_exit_1(self, workdir, tmp_path):
         # every patient an event; per cancer four early times, then one
         # shared late time that collapses the upper quantile edges
@@ -176,7 +195,7 @@ class TestTrain:
         data.write_text("\n".join(out_lines) + "\n")
         proc = run_cli("train", "--data", data, "--config", workdir / "config.json",
                        "--folds", "2", "--out", tmp_path / "run")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert "collapse a quantile edge" in proc.stderr
 
 
@@ -198,7 +217,7 @@ class TestEval:
                      "--out", str(tmp_path / "cohort")]) == 0
         proc = run_cli("eval", "--data", tmp_path / "cohort" / "cohort.jsonl",
                        "--checkpoint", workdir / "run" / "fold_0.ckpt")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert "LUAD" in proc.stderr
 
     @pytest.mark.parametrize("command", ["eval", "explain"])
@@ -214,7 +233,7 @@ class TestEval:
         proc = run_cli(command, "--data", data,
                        "--checkpoint", workdir / "run" / "fold_0.ckpt",
                        "--out", tmp_path / "out.json")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert f"patient {first}: gene group TF has 6 genes, model expects 5" \
             in proc.stderr
 
@@ -223,16 +242,28 @@ class TestEval:
         (lambda m: m.pop("tensors"), "manifest lacks 'tensors'"),
         (lambda m: m["meta"].__setitem__("colour", 1), "'colour'"),
         (lambda m: m["meta"].__setitem__("d_model", "x"), "bad manifest"),
-        (lambda m: m["meta"].__setitem__("n_experts", 0), "need at least one expert"),
+        (lambda m: m["meta"].__setitem__("n_experts", 0),
+         "field n_experts must be positive, got 0"),
+        (lambda m: m["meta"].__setitem__("n_heads", 3),
+         "field d_model must be even and divisible by n_heads"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_max_iter", 100.0),
+         "field sinkhorn_max_iter must be int, got 100.0"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_max_iter", 0),
+         "field sinkhorn_max_iter must be positive, got 0"),
+        (lambda m: m["meta"].__setitem__("text_table_size", 0),
+         "field text_table_size must be positive, got 0"),
+        (lambda m: m["meta"].__setitem__("bin_edges", ["a"]),
+         "field bin_edges must be list of float, got ['a']"),
     ], ids=["no-meta", "no-tensors", "unknown-meta-field", "text-d_model",
-            "zero-experts"])
+            "zero-experts", "heads-3", "float-max-iter", "zero-max-iter",
+            "zero-table-size", "text-bin-edge"])
     def test_bad_manifest_exit_1(self, workdir, tmp_path, edit, message):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes((workdir / "run" / "fold_0.ckpt").read_bytes())
         rewrite_manifest(str(ckpt), edit)
         proc = run_cli("eval", "--data", workdir / "cohort" / "cohort.jsonl",
                        "--checkpoint", ckpt)
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert f"{ckpt}: " in proc.stderr and message in proc.stderr
 
     def test_non_finite_risk_exit_1(self, workdir, tmp_path):
@@ -244,7 +275,7 @@ class TestEval:
         data.write_text("\n".join(lines) + "\n")
         proc = run_cli("eval", "--data", data,
                        "--checkpoint", workdir / "run" / "fold_0.ckpt")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert f"non-finite risk for patient {rec['id']}" in proc.stderr
 
     def test_truncated_checkpoint_exit_1(self, workdir, tmp_path):
@@ -256,7 +287,7 @@ class TestEval:
             ckpt.write_bytes(raw[:cut])
             proc = run_cli("eval", "--data", workdir / "cohort" / "cohort.jsonl",
                            "--checkpoint", ckpt)
-            assert_runtime_error(proc)
+            assert_error_line(proc, 1)
             assert str(ckpt) in proc.stderr
 
 
@@ -302,7 +333,7 @@ class TestCohortErrors:
         data.write_text("\n".join(lines) + "\n")
         proc = run_cli("eval", "--data", data,
                        "--checkpoint", workdir / "run" / "fold_0.ckpt")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert f"{data}:3: " in proc.stderr and message in proc.stderr
 
 
@@ -319,7 +350,7 @@ class TestCohortErrors:
         data.write_text("\n".join(lines) + "\n")
         proc = run_cli("eval", "--data", data,
                        "--checkpoint", workdir / "run" / "fold_0.ckpt")
-        assert_runtime_error(proc)
+        assert_error_line(proc, 1)
         assert f"{data}:3: patch sidecar" in proc.stderr and "lies outside" in proc.stderr
 
 
@@ -372,5 +403,48 @@ class TestSweep:
         assert (out / "experts_2" / "fold_1.ckpt").exists()
 
     def test_bad_experts_list_exit_2(self, workdir, tmp_path):
-        assert main(["sweep", "--data", str(workdir / "cohort" / "cohort.jsonl"),
-                     "--experts", "a,b", "--out", str(tmp_path / "s")]) == 2
+        for experts in ("a,b", "2,0"):
+            assert main(["sweep", "--data", str(workdir / "cohort" / "cohort.jsonl"),
+                         "--experts", experts, "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+
+class TestJsonFiles:
+    """A config, spec or risk file that does not decode: exit 2, one
+    `error:` line naming the file."""
+
+    def _run(self, workdir, tmp_path, flag, path):
+        data = ["--data", workdir / "cohort" / "cohort.jsonl"]
+        command, extra = {"--spec": ("synth", []), "--config": ("train", data),
+                          "--risks": ("km", data)}[flag]
+        return run_cli(command, *extra, flag, path, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("flag", ["--spec", "--config", "--risks"])
+    def test_invalid_json_exit_2(self, workdir, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1,')
+        proc = self._run(workdir, tmp_path, flag, bad)
+        assert_error_line(proc, 2)
+        assert f"{bad} is not valid JSON" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--spec", "--config"])
+    def test_array_instead_of_object_exit_2(self, workdir, tmp_path, flag):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        proc = self._run(workdir, tmp_path, flag, bad)
+        assert_error_line(proc, 2)
+        assert f"{bad} must hold a JSON object, not list" in proc.stderr
+
+    @pytest.mark.parametrize("row, message", [
+        ({"id": None}, "a row lacks 'risk'"),
+        ({"id": None, "risk": "abc"}, "could not convert string to float: 'abc'"),
+    ], ids=["no-risk", "text-risk"])
+    def test_bad_risk_row_exit_2(self, workdir, tmp_path, row, message):
+        records = bags.read_cohort(str(workdir / "cohort" / "cohort.jsonl"))
+        rows = [{"id": rec.id, "risk": 0.5} for rec in records]
+        rows[3] = {**row, "id": records[3].id}
+        risks = tmp_path / "risks.json"
+        risks.write_text(json.dumps(rows))
+        proc = self._run(workdir, tmp_path, "--risks", risks)
+        assert_error_line(proc, 2)
+        assert f"risk file {risks}: {message}" in proc.stderr

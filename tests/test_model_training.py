@@ -1,6 +1,7 @@
 """Model assembly, checkpointing, and training-loop contracts."""
 
 import copy
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from pansurv import encoders, fusion, moe
 from pansurv import survival as sv
 from pansurv import synthetic as sg
 from pansurv import training as tr
-from pansurv.model import (forward, init_model, load_checkpoint, ModelError,
+from pansurv.model import (forward, init_model, load_checkpoint, ModelError, ModelMeta,
                            prepare_patient, save_checkpoint)
 from pansurv.optim import AdamW
 
@@ -292,7 +293,7 @@ class TestTraining:
     def test_non_finite_loss_aborts_with_diagnostic(self, mixed12, small_config):
         poisoned = [copy.deepcopy(r) for r in mixed12]
         poisoned[3].wsi.patch_features[0, 0] = np.nan
-        with pytest.raises(tr.TrainingError, match="non-finite"):
+        with pytest.raises(tr.TrainingError, match="non-finite output of matmul"):
             with np.errstate(all="ignore"):
                 tr.train(poisoned, small_config)
 
@@ -450,3 +451,48 @@ def test_damaged_checkpoint_loads_or_raises_model_error(small_checkpoint, data):
         load_checkpoint(str(bad))
     except ModelError as exc:
         assert str(bad) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(trained, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "trained.ckpt"
+    save_checkpoint(str(path), trained[0])
+    return path, path.read_bytes()
+
+
+_META_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-3, 40) | st.floats() | st.text(max_size=3), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from([f.name for f in fields(ModelMeta)]), value=_META_VALUES)
+def test_meta_field_scores_or_raises_model_error(trained_checkpoint, small_cohort,
+                                                 field, value):
+    """A checkpoint with one meta field set to any JSON value either scores
+    a patient or raises ModelError: naming the file at load, or the
+    patient's cancer type when the vocabulary no longer holds it. An
+    extreme Sinkhorn eps passes the rules but overflows exp(-C/eps); the
+    risk is then refused as non-finite."""
+    path, raw = trained_checkpoint
+    edited = path.with_name("edited.ckpt")
+    edited.write_bytes(raw)
+    rewrite_manifest(str(edited), lambda m: m["meta"].__setitem__(field, value))
+    rec = small_cohort[0]
+    try:
+        model = load_checkpoint(str(edited))
+    except ModelError as exc:
+        assert str(edited) in str(exc)
+        return
+    try:
+        prep = prepare_patient(rec, model)
+    except ModelError as exc:
+        assert field == "cancer_types" and repr(rec.cancer_type) in str(exc)
+        return
+    with np.errstate(all="ignore"):
+        try:
+            risk = tr.predict_risk(model, prep)
+        except tr.TrainingError as exc:
+            assert field == "sinkhorn_eps" and "non-finite risk" in str(exc)
+            return
+    assert np.isfinite(risk)

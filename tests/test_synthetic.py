@@ -94,8 +94,8 @@ class TestGeneration:
             sg.CohortSpec(cases_per_cancer=5).validate()
         with pytest.raises(sg.SpecError):
             sg.CohortSpec(censoring_rate=1.0).validate()
-        with pytest.raises(sg.SpecError):
-            sg.CohortSpec.from_dict({"bogus_field": 1})
+        with pytest.raises(ValueError, match="bogus_field"):
+            bags.decode(sg.CohortSpec, {"bogus_field": 1})
 
     def test_roundtrip_through_cohort_file(self, tmp_path):
         spec = sg.CohortSpec(cases_per_cancer=10)
