@@ -12,9 +12,8 @@ records, truth = sg.generate_cohort(spec)
 print(f"{len(records)} patients across {len(spec.cancers)} cancers")
 
 rec = records[0]
-bag = bags.render_text_bag(rec.meta)
 print("\nexample text bag:")
-for s in bag.sentences:
+for s in bags.render_text_bag(rec.meta):
     print("  ", s)
 print(f"patches: {rec.wsi.patch_count} x {rec.wsi.patch_features.shape[1]}, "
       f"genomic groups: {[len(rec.genomic.values[g]) for g in bags.GENOMIC_GROUPS]}")

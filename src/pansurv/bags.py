@@ -9,6 +9,7 @@ patch features either inline or in a little-endian binary sidecar whose
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -83,15 +84,6 @@ class PatientMeta:
             raise TemplateError(f"treatments {self.treatments!r} not in {TREATMENTS}")
         if int(self.age) <= 0:
             raise TemplateError(f"age must be positive, got {self.age}")
-
-
-@dataclass
-class TextBag:
-    sentences: tuple  # (demographic, cancer, diagnosis, treatment)
-
-    def __post_init__(self):
-        if len(self.sentences) != 4 or any(not s for s in self.sentences):
-            raise TemplateError("text bag must hold exactly four non-empty sentences")
 
 
 @dataclass
@@ -201,7 +193,7 @@ def cancer_full_name(code: str) -> str:
 # text bag
 # ---------------------------------------------------------------------------
 
-def render_text_bag(meta: PatientMeta) -> TextBag:
+def render_text_bag(meta: PatientMeta) -> tuple[str, str, str, str]:
     """Instantiate the four sentence templates (demographic, cancer,
     diagnosis, treatment), in that order. Pure: identical meta gives
     byte-identical strings."""
@@ -218,7 +210,7 @@ def render_text_bag(meta: PatientMeta) -> TextBag:
         tre = "Radiation and pharmaceutical therapy is applied."
     else:
         tre = f"{meta.treatments.title()} is applied."
-    return TextBag(sentences=(dem, can, dia, tre))
+    return dem, can, dia, tre
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +298,18 @@ def write_cohort(path: str, records, binary_patches: bool = False):
             fh.write(json.dumps(patient_to_json(rec, patch_path)) + "\n")
 
 
-def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
+def read_cohort(path: str) -> list[PatientRecord]:
     """Parse a JSON Lines cohort. Patch features may be inline arrays or a
     path (relative to the cohort file, and inside its directory) to a binary
-    matrix. Without an explicit schema, positional gene names are derived
-    from group lengths. A line that is not valid JSON, lacks a key, holds a
-    bad value or names two different cancer types raises CohortError
-    naming `path:line`.
+    matrix. Positional gene names are derived from the first patient's
+    group lengths. A line that is not valid JSON, lacks a key, holds a bad
+    value (a non-finite survival time among them), has no gene in any group
+    or names two different cancer types raises CohortError naming
+    `path:line`.
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
+    schema = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -339,15 +333,20 @@ def read_cohort(path: str, schema: dict | None = None) -> list[PatientRecord]:
                     mask={g: np.asarray(obj["genomic"][g]["mask"]) for g in GENOMIC_GROUPS},
                     schema=schema,
                 )
+                if not any(len(v) for v in genomic.values.values()):
+                    raise ValueError("every gene group is empty")
                 meta = PatientMeta(**obj["meta"])
                 meta.validate()
                 if obj["cancer_type"] != meta.cancer_type:
                     raise ValueError(f"cancer_type {obj['cancer_type']!r} differs from "
                                      f"meta cancer_type {meta.cancer_type!r}")
+                months = float(obj["survival_months"])
+                if not math.isfinite(months):
+                    raise ValueError(f"survival_months must be finite, got {months}")
                 records.append(PatientRecord(
                     id=obj["id"], cancer_type=obj["cancer_type"], meta=meta,
                     wsi=WsiBag(patches), genomic=genomic,
-                    survival_months=float(obj["survival_months"]),
+                    survival_months=months,
                     censored=bool(obj["censored"]),
                 ))
             except KeyError as exc:

@@ -126,6 +126,8 @@ def cmd_explain(args) -> int:
     if args.top_k < 1:
         raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
     records = bags.read_cohort(_require_file(args.data, "cohort"))
+    if not records:
+        raise bags.CohortError(f"{args.data}: cohort holds no patients")
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     schema = records[0].genomic.schema
     reports_by_cancer = {}
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (tr.TrainingError, sg.SpecError, sv.SurvivalError, ModelError,
-            bags.BinningError, bags.CohortError) as exc:
+            attribution.AttributionError, bags.BinningError, bags.CohortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

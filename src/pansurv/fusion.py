@@ -144,12 +144,15 @@ def init_fusion_params(rng, d_model: int, prefix: str, ffn_mult: int = 2) -> dic
     return p
 
 
+QK_SCALE = 0.2
+
+
 def init_decoder_layer(rng, d_model: int, prefix: str, ffn_mult: int = 2,
-                       batch: tuple = (), qk_scale: float = 0.2) -> dict:
+                       batch: tuple = ()) -> dict:
     """Cross-attention + feed-forward decoder layer weights; `batch` adds a
     leading axis of structurally identical, unshared weight sets.
 
-    Query/key projections start small (qk_scale), so attention opens
+    Query/key projections start small (QK_SCALE), so attention opens
     near-uniform and the layer initially passes the mean of its
     value-projected KV rows - a linear readout the optimizer can use
     immediately; attention sharpens as q/k grow.
@@ -161,7 +164,7 @@ def init_decoder_layer(rng, d_model: int, prefix: str, ffn_mult: int = 2,
     p = {}
     for w in ("wq", "wk", "wv", "wo"):
         p[f"{prefix}.{w}"] = init_linear(rng, d, batch + (d, d),
-                                         qk_scale if w in ("wq", "wk") else 1.0)
+                                         QK_SCALE if w in ("wq", "wk") else 1.0)
         p[f"{prefix}.b{w[1]}"] = vec((d,))
     p[f"{prefix}.ffn_w1"] = init_linear(rng, d, batch + (d, f))
     p[f"{prefix}.ffn_b1"] = vec((f,))

@@ -17,6 +17,7 @@ the raw little-endian tensor payloads concatenated in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -52,14 +53,39 @@ class ModelMeta:
     text_table_size: int
 
 
+# Sinkhorn scales exp(-C/eps) with a cost C in [0, 2]. With a trained
+# checkpoint, every decade of eps from 1e-18 to 1e300 scored a whole
+# 500-patient cohort without a warning; from 1e-19 down, rounding in
+# (f + g - C)/eps overflows or empties the plan, and 1e308 overflows
+# eps * log(nu). The range keeps six decades of margin below.
+SINKHORN_EPS_RANGE = (1e-12, 1e12)
+
+
+def check_positive(cfg, names):
+    """Raises ValueError naming the first of the fields `names` of `cfg`
+    that is not positive (NaN included) or not finite."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not value > 0:
+            raise ValueError(f"field {name} must be positive, got {value}")
+        if not value < math.inf:
+            raise ValueError(f"field {name} must be finite, got {value}")
+
+
 def check_architecture(cfg):
     """The rules every model shape obeys, for a ModelMeta or a TrainConfig:
-    positive sizes and Sinkhorn settings, and an even d_model that the
-    heads divide. Raises ValueError naming the field."""
-    for name in ("d_model", "n_bins", "n_experts", "n_heads", "ffn_mult", "sinkhorn_eps",
-                 "sinkhorn_max_iter", "sinkhorn_tol", "text_table_size"):
-        if not getattr(cfg, name) > 0:
-            raise ValueError(f"field {name} must be positive, got {getattr(cfg, name)}")
+    positive, finite sizes and Sinkhorn settings, an eps inside
+    SINKHORN_EPS_RANGE, a non-negative text-table seed, and an even d_model
+    that the heads divide. Raises ValueError naming the field."""
+    check_positive(cfg, ("d_model", "n_bins", "n_experts", "n_heads", "ffn_mult",
+                         "sinkhorn_max_iter", "sinkhorn_tol", "text_table_size"))
+    low, high = SINKHORN_EPS_RANGE
+    if not low <= cfg.sinkhorn_eps <= high:
+        raise ValueError(f"field sinkhorn_eps must lie in [{low:g}, {high:g}], "
+                         f"got {cfg.sinkhorn_eps}")
+    if not cfg.text_table_seed >= 0:
+        raise ValueError(f"field text_table_seed must be non-negative, "
+                         f"got {cfg.text_table_seed}")
     if cfg.d_model % 2 or cfg.d_model % cfg.n_heads:
         raise ValueError(f"field d_model must be even and divisible by n_heads, got "
                          f"d_model {cfg.d_model} and n_heads {cfg.n_heads}")
@@ -124,9 +150,8 @@ def prepare_patient(record: PatientRecord, model: Model) -> PatientPrep:
         if len(genes) != meta.group_sizes.get(grp):
             raise ModelError(f"patient {record.id}: gene group {grp} has {len(genes)} "
                              f"genes, model expects {meta.group_sizes.get(grp)}")
-    bag = render_text_bag(record.meta)
     txt_rows = np.stack([encoders.frozen_sentence_vector(s, model.table)
-                         for s in bag.sentences])
+                         for s in render_text_bag(record.meta)])
     return PatientPrep(
         id=record.id, cancer_type=record.cancer_type,
         cancer_idx=meta.cancer_types.index(record.cancer_type),

@@ -135,6 +135,17 @@ class KmCurve:
     at_risk: np.ndarray    # risk-set size just before each event time
 
 
+def _risk_sets(times, events, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Risk-set size (subjects with time >= g) and event count (events at
+    time g) at each time g of the ascending `grid`."""
+    t = np.sort(times)
+    event_t = np.sort(times[events])
+    at_risk = len(t) - np.searchsorted(t, grid, side="left")
+    deaths = (np.searchsorted(event_t, grid, side="right")
+              - np.searchsorted(event_t, grid, side="left"))
+    return at_risk, deaths
+
+
 def km_curve(times, events) -> KmCurve:
     """Product-limit estimator; `events` uses 1 = event observed.
 
@@ -146,66 +157,14 @@ def km_curve(times, events) -> KmCurve:
     if len(t) == 0:
         raise SurvivalError("empty cohort")
     event_times = np.unique(t[e])
-    surv, risk_sizes = [], []
-    s = 1.0
-    for et in event_times:
-        n_at_risk = int((t >= et).sum())
-        d = int(((t == et) & e).sum())
-        s *= 1.0 - d / n_at_risk
-        surv.append(s)
-        risk_sizes.append(n_at_risk)
-    return KmCurve(times=event_times, survival=np.array(surv),
-                   at_risk=np.array(risk_sizes, dtype=int))
+    at_risk, deaths = _risk_sets(t, e, event_times)
+    return KmCurve(times=event_times, survival=np.cumprod(1.0 - deaths / at_risk),
+                   at_risk=at_risk)
 
 
 # ---------------------------------------------------------------------------
 # logrank test
 # ---------------------------------------------------------------------------
-
-def _regularized_upper_gamma(a: float, x: float) -> float:
-    """Q(a, x) by series (x < a+1) or Lentz continued fraction; ~1e-15."""
-    if x < 0 or a <= 0:
-        raise ValueError(f"invalid incomplete-gamma arguments a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    gln = math.lgamma(a)
-    if x < a + 1.0:
-        ap, term, total = a, 1.0 / a, 1.0 / a
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return 1.0 - total * math.exp(-x + a * math.log(x) - gln)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x + a * math.log(x) - gln) * h
-
-
-def chi2_sf(x: float, df: int = 1) -> float:
-    """Chi-square survival function P(X >= x)."""
-    if x <= 0:
-        return 1.0
-    return _regularized_upper_gamma(df / 2.0, x / 2.0)
-
 
 def logrank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     """Two-group logrank: observed vs expected events at each distinct event
@@ -220,22 +179,20 @@ def logrank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     all_e = np.concatenate([ea, eb])
     if not all_e.any():
         raise SurvivalError("zero total events")
-    o_minus_e = 0.0
-    var = 0.0
-    for et in np.unique(all_t[all_e]):
-        n = int((all_t >= et).sum())
-        na = int((ta >= et).sum())
-        d = int(((all_t == et) & all_e).sum())
-        da = int(((ta == et) & ea).sum())
-        if n <= 1:
-            continue  # degenerate risk set: zero variance contribution
-        frac_a = na / n
-        o_minus_e += da - d * frac_a
-        var += d * frac_a * (1.0 - frac_a) * (n - d) / (n - 1)
+    grid = np.unique(all_t[all_e])
+    n, d = _risk_sets(all_t, all_e, grid)
+    na, da = _risk_sets(ta, ea, grid)
+    keep = n > 1  # a risk set of one has zero variance
+    n, d, na, da = n[keep], d[keep], na[keep], da[keep]
+    frac_a = na / n
+    # running sums in event-time order from 0.0; np.sum would add pairwise
+    o_minus_e = np.cumsum(np.concatenate([[0.0], da - d * frac_a]))[-1]
+    var = np.cumsum(np.concatenate(
+        [[0.0], d * frac_a * (1.0 - frac_a) * (n - d) / (n - 1)]))[-1]
     if var <= 0:
         return 0.0, 1.0
-    chi2 = o_minus_e * o_minus_e / var
-    return float(chi2), float(chi2_sf(chi2, df=1))
+    chi2 = float(o_minus_e * o_minus_e / var)
+    return chi2, math.erfc(math.sqrt(chi2 / 2.0))
 
 
 def median_risk_split(risks) -> tuple[np.ndarray, np.ndarray]:
@@ -318,11 +275,11 @@ def km_table(low: KmCurve, high: KmCurve) -> list[tuple[float, float, float]]:
     """Step values of both groups on the merged event-time grid."""
     grid = np.unique(np.concatenate([low.times, high.times]))
 
-    def step_at(curve, t):
-        i = np.searchsorted(curve.times, t, side="right") - 1
-        return 1.0 if i < 0 else float(curve.survival[i])
+    def steps(curve):
+        values = np.concatenate([[1.0], curve.survival])
+        return values[np.searchsorted(curve.times, grid, side="right")].tolist()
 
-    return [(float(t), step_at(low, t), step_at(high, t)) for t in grid]
+    return list(zip(grid.tolist(), steps(low), steps(high)))
 
 
 def write_km_csv(path: str, table):

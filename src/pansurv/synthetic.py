@@ -63,6 +63,8 @@ class CohortSpec:
     seed: int = 7
 
     def validate(self):
+        if not self.seed >= 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         if self.cases_per_cancer < 10:
             raise SpecError("need at least 10 cases per cancer")
         if not (0.0 <= self.censoring_rate < 1.0):

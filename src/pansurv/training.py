@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import survival as sv
 from .bags import compute_bin_edges
-from .model import Model, ModelMeta, ForwardOutput, check_architecture, forward, \
-    init_model, prepare_patient, save_checkpoint
+from .model import Model, ModelMeta, ForwardOutput, check_architecture, check_positive, \
+    forward, init_model, prepare_patient, save_checkpoint
 from .optim import AdamW
 from .synthetic import kfold_split
 
@@ -50,9 +50,9 @@ class TrainConfig:
     def validate(self):
         """Raises ValueError naming the first field that breaks a rule."""
         check_architecture(self)
-        for name in ("lr", "epochs", "accum_steps", "folds"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"field {name} must be positive, got {getattr(self, name)}")
+        check_positive(self, ("lr", "epochs", "accum_steps", "folds"))
+        if not self.seed >= 0:
+            raise ValueError(f"field seed must be non-negative, got {self.seed}")
 
 
 def build_meta(config: TrainConfig, records, cancer_types=None) -> ModelMeta:

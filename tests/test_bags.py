@@ -23,20 +23,20 @@ def make_meta(**overrides):
 class TestTextBag:
     def test_demographic_template(self):
         bag = bags.render_text_bag(make_meta())
-        assert bag.sentences[0] == "She is a 58-year-old White race Woman."
+        assert bag[0] == "She is a 58-year-old White race Woman."
 
     def test_male_demographic(self):
         bag = bags.render_text_bag(make_meta(sex="male", age=63, race="Asian"))
-        assert bag.sentences[0] == "He is a 63-year-old Asian race Man."
+        assert bag[0] == "He is a 63-year-old Asian race Man."
 
     def test_cancer_template_uses_full_name(self):
         bag = bags.render_text_bag(make_meta(cancer_type="BLCA"))
-        assert bag.sentences[1] == "This is a patient who has Bladder Urothelial Carcinoma."
+        assert bag[1] == "This is a patient who has Bladder Urothelial Carcinoma."
 
     def test_diagnosis_template(self):
         bag = bags.render_text_bag(make_meta())
-        assert bag.sentences[2] == ("She has Infiltrating duct carcinoma at Stage II. "
-                                    "T2, N1, M0.")
+        assert bag[2] == ("She has Infiltrating duct carcinoma at Stage II. "
+                          "T2, N1, M0.")
 
     def test_treatment_templates(self):
         cases = {
@@ -46,7 +46,7 @@ class TestTextBag:
             "none": "No treatment is applied.",
         }
         for treatment, sentence in cases.items():
-            assert bags.render_text_bag(make_meta(treatments=treatment)).sentences[3] == sentence
+            assert bags.render_text_bag(make_meta(treatments=treatment))[3] == sentence
 
     def test_missing_field_names_field(self):
         with pytest.raises(bags.TemplateError, match="t_stage"):
@@ -61,7 +61,7 @@ class TestTextBag:
     def test_pure_function(self):
         a = bags.render_text_bag(make_meta())
         b = bags.render_text_bag(make_meta())
-        assert a.sentences == b.sentences
+        assert a == b
 
 
 class TestGenomicBag:

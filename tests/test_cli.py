@@ -132,6 +132,18 @@ class TestSynth:
         assert_error_line(proc, 2)
         assert f"cohort spec: field {field} must be " in proc.stderr
 
+    @pytest.mark.parametrize("source", ["set", "env"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, source):
+        if source == "env":
+            monkeypatch.setenv("UMPS_SEED", "-3")
+            setting = []
+        else:
+            setting = ["--set", "seed=-1"]
+        proc = run_cli("synth", *setting, "--out", tmp_path / "out")
+        assert_error_line(proc, 2)
+        seed = "-3" if source == "env" else "-1"
+        assert f"cohort spec: seed must be non-negative, got {seed}" in proc.stderr
+
     def test_binary_patch_sidecars(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**SPEC, "cases_per_cancer": 10}))
@@ -179,6 +191,46 @@ class TestTrain:
                        "--out", tmp_path / "run")
         assert_error_line(proc, 2)
         assert "field d_model must be even and divisible by n_heads" in proc.stderr
+
+    @pytest.mark.parametrize("setting, message", [
+        ("seed=-1", "field seed must be non-negative, got -1"),
+        ("text_table_seed=-5", "field text_table_seed must be non-negative, got -5"),
+        ("sinkhorn_eps=inf", "field sinkhorn_eps must lie in [1e-12, 1e+12], got inf"),
+        ("sinkhorn_eps=1e-300", "field sinkhorn_eps must lie in [1e-12, 1e+12], got 1e-300"),
+        ("sinkhorn_eps=1e308", "field sinkhorn_eps must lie in [1e-12, 1e+12], got 1e+308"),
+        ("sinkhorn_tol=inf", "field sinkhorn_tol must be finite, got inf"),
+        ("lr=inf", "field lr must be finite, got inf"),
+    ], ids=["seed", "text-table-seed", "inf-eps", "tiny-eps", "huge-eps", "inf-tol",
+            "inf-lr"])
+    def test_out_of_range_setting_exit_2(self, workdir, tmp_path, setting, message):
+        proc = run_cli("train", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--config", workdir / "config.json", "--set", setting,
+                       "--out", tmp_path / "run")
+        assert_error_line(proc, 2)
+        assert f"train config: {message}" in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_infinity_in_config_file_exit_2(self, workdir, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**CONFIG, "sinkhorn_eps": float("inf")}))
+        assert "Infinity" in cfg.read_text()
+        proc = run_cli("train", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--config", cfg, "--out", tmp_path / "run")
+        assert_error_line(proc, 2)
+        assert "field sinkhorn_eps must lie in" in proc.stderr
+
+    def test_all_gene_groups_empty_exit_1(self, workdir, tmp_path):
+        lines = []
+        for line in (workdir / "cohort" / "cohort.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            rec["genomic"] = {g: {"values": [], "mask": []} for g in sg.GENOMIC_GROUPS}
+            lines.append(json.dumps(rec))
+        data = tmp_path / "cohort.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        proc = run_cli("train", "--data", data, "--config", workdir / "config.json",
+                       "--out", tmp_path / "run")
+        assert_error_line(proc, 1)
+        assert f"{data}:1: every gene group is empty" in proc.stderr
 
     def test_collapsed_bin_edges_exit_1(self, workdir, tmp_path):
         # every patient an event; per cancer four early times, then one
@@ -254,9 +306,20 @@ class TestEval:
          "field text_table_size must be positive, got 0"),
         (lambda m: m["meta"].__setitem__("bin_edges", ["a"]),
          "field bin_edges must be list of float, got ['a']"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_eps", 1e-300),
+         "field sinkhorn_eps must lie in [1e-12, 1e+12], got 1e-300"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_eps", 1e308),
+         "field sinkhorn_eps must lie in [1e-12, 1e+12], got 1e+308"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_eps", float("inf")),
+         "field sinkhorn_eps must lie in [1e-12, 1e+12], got inf"),
+        (lambda m: m["meta"].__setitem__("sinkhorn_tol", float("inf")),
+         "field sinkhorn_tol must be finite, got inf"),
+        (lambda m: m["meta"].__setitem__("text_table_seed", -1),
+         "field text_table_seed must be non-negative, got -1"),
     ], ids=["no-meta", "no-tensors", "unknown-meta-field", "text-d_model",
             "zero-experts", "heads-3", "float-max-iter", "zero-max-iter",
-            "zero-table-size", "text-bin-edge"])
+            "zero-table-size", "text-bin-edge", "tiny-eps", "huge-eps", "inf-eps",
+            "inf-tol", "negative-table-seed"])
     def test_bad_manifest_exit_1(self, workdir, tmp_path, edit, message):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes((workdir / "run" / "fold_0.ckpt").read_bytes())
@@ -315,6 +378,29 @@ class TestExplain:
         assert proc.stderr.strip().splitlines() == ["error: --top-k must be >= 1, got 0"]
 
 
+    def test_nan_parameter_exit_1(self, workdir, tmp_path):
+        raw = bytearray((workdir / "run" / "fold_0.ckpt").read_bytes())
+        mlen = int.from_bytes(raw[6:14], "little")
+        entry = json.loads(raw[14:14 + mlen])["tensors"][0]
+        start = 14 + mlen + entry["offset"]
+        raw[start:start + 8] = np.float64(np.nan).tobytes()
+        ckpt = tmp_path / "nan.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        proc = run_cli("explain", "--data", workdir / "cohort" / "cohort.jsonl",
+                       "--checkpoint", ckpt, "--out", tmp_path / "genes.json")
+        assert_error_line(proc, 1)
+        assert f"model parameter {entry['name']!r} is not finite" in proc.stderr
+
+    def test_empty_cohort_exit_1(self, workdir, tmp_path):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        proc = run_cli("explain", "--data", data,
+                       "--checkpoint", workdir / "run" / "fold_0.ckpt",
+                       "--out", tmp_path / "genes.json")
+        assert_error_line(proc, 1)
+        assert f"{data}: cohort holds no patients" in proc.stderr
+
+
 class TestCohortErrors:
     @pytest.mark.parametrize("damage, message", [
         (lambda line: line[:-2], "Expecting"),
@@ -325,7 +411,9 @@ class TestCohortErrors:
             **json.loads(line)["meta"], "sex": "unknown"}}), "sex 'unknown'"),
         (lambda line: json.dumps({**json.loads(line), "cancer_type": "BRCA"}),
          "cancer_type 'BRCA' differs from meta cancer_type 'BLCA'"),
-    ], ids=["bad-json", "missing-key", "bad-meta", "cancer-mismatch"])
+        (lambda line: json.dumps({**json.loads(line), "survival_months": float("nan")}),
+         "survival_months must be finite, got nan"),
+    ], ids=["bad-json", "missing-key", "bad-meta", "cancer-mismatch", "nan-months"])
     def test_bad_line_exit_1_names_path_and_line(self, workdir, tmp_path, damage, message):
         lines = (workdir / "cohort" / "cohort.jsonl").read_text().splitlines()
         lines[2] = damage(lines[2])

@@ -184,7 +184,7 @@ class TestTextEmbedding:
                                 t_stage="T1", n_stage="N0", m_stage="M0",
                                 treatments="none")
         rows = np.stack([encoders.frozen_sentence_vector(s, self.TABLE)
-                         for s in bags.render_text_bag(meta).sentences])
+                         for s in bags.render_text_bag(meta)])
         out = encoders.embed_text_rows(rows, p)
         assert out.data.shape == (4, 12)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(4),

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pansurv import autodiff as ad
 from pansurv import encoders, fusion, moe
@@ -467,13 +467,15 @@ _META_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(field=st.sampled_from([f.name for f in fields(ModelMeta)]), value=_META_VALUES)
+@example(field="sinkhorn_eps", value=1e-300)
+@example(field="sinkhorn_eps", value=1e308)
+@example(field="sinkhorn_eps", value=float("inf"))
 def test_meta_field_scores_or_raises_model_error(trained_checkpoint, small_cohort,
                                                  field, value):
     """A checkpoint with one meta field set to any JSON value either scores
-    a patient or raises ModelError: naming the file at load, or the
-    patient's cancer type when the vocabulary no longer holds it. An
-    extreme Sinkhorn eps passes the rules but overflows exp(-C/eps); the
-    risk is then refused as non-finite."""
+    a patient to a finite risk, without a warning, or raises ModelError:
+    naming the file at load, or the patient's cancer type when the
+    vocabulary no longer holds it."""
     path, raw = trained_checkpoint
     edited = path.with_name("edited.ckpt")
     edited.write_bytes(raw)
@@ -489,10 +491,4 @@ def test_meta_field_scores_or_raises_model_error(trained_checkpoint, small_cohor
     except ModelError as exc:
         assert field == "cancer_types" and repr(rec.cancer_type) in str(exc)
         return
-    with np.errstate(all="ignore"):
-        try:
-            risk = tr.predict_risk(model, prep)
-        except tr.TrainingError as exc:
-            assert field == "sinkhorn_eps" and "non-finite risk" in str(exc)
-            return
-    assert np.isfinite(risk)
+    assert np.isfinite(tr.predict_risk(model, prep))
