@@ -611,20 +611,3 @@ def backward(tape: Tape, output: Tensor):
     for t, fn in reversed(tape.nodes):
         if t.grad is not None:
             fn(t.grad)
-
-
-def numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of scalar f at x, elementwise."""
-    x = np.array(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g

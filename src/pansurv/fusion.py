@@ -4,11 +4,17 @@ transformer decoding.
 The Sinkhorn solver runs in the log domain and is exposed two ways: as a
 plain solver returning a TransportPlan, and as a differentiable graph
 primitive whose backward replays the executed iterations in reverse
-(unrolled-iteration gradients). The forward keeps, per iteration, the
-scaled matrices (f - C)/eps and (g - C)/eps with their log-sum-exps, so the
-replay reuses them instead of recomputing (same expressions, same bits).
-The ground cost is 1 - cosine similarity on a shared learned projection;
-marginals are uniform.
+(unrolled-iteration gradients). Both run on the transposed cost, made
+contiguous with shape (N_tgt, N_src), so each log-sum-exp reduces a
+contiguous axis; sums still run in index order, so plans and gradients
+keep the bits of the (N_src, N_tgt) layout. Rows are exact after each
+f-update, so convergence is judged on the columns alone, read from the
+next iteration's log-sum-exp over sources, and the plan is built once, at
+exit. The forward keeps, per iteration, the scaled matrices
+(f - C)/eps and (g - C)/eps with their log-sum-exps, so the replay reuses
+them instead of recomputing (same expressions, same bits). The ground cost
+is 1 - cosine similarity on a shared learned projection; marginals are
+uniform.
 """
 
 from __future__ import annotations
@@ -30,12 +36,20 @@ class TransportPlan:
     matrix: np.ndarray      # (N_src, N_tgt), nonnegative
     converged: bool
     iterations: int
-    violation: float        # max marginal violation at exit
+    violation: float        # max column violation at exit (rows are exact)
+
+
+def _ordered_sum(x, axis):
+    """Sum along `axis` (0 or 1) of a matrix in index order. numpy sums a strided
+    axis in order but a contiguous one pairwise, so on the transposed cost
+    a plain sum over sources would round differently from the
+    (N_src, N_tgt) layout, and training amplifies last-bit differences."""
+    return np.add.accumulate(x, axis=1)[:, -1] if axis == 1 else x.sum(axis=0)
 
 
 def _logsumexp(a, axis):
     m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    return m.squeeze(axis) + np.log(_ordered_sum(np.exp(a - m), axis))
 
 
 def _check_marginals(mu, nu, n, m):
@@ -50,34 +64,40 @@ def _check_marginals(mu, nu, n, m):
 
 
 def _sinkhorn_iterate(C, mu, nu, eps, max_iter, tol, keep_history):
-    """Log-domain Sinkhorn-Knopp scaling of exp(-C/eps).
+    """Log-domain Sinkhorn-Knopp scaling of exp(-C/eps), iterated on the
+    transposed cost Ct = C.T, contiguous with shape (N_tgt, N_src), so the
+    log-sum-exp over sources reduces axis 1 and the one over targets axis 0.
+    The history holds (A, lA, B, lB) in that layout.
 
-    Row marginals are exact after each f-update; convergence is judged on
-    the worst row/column violation of the current plan. tol=0 disables
-    early stopping (fixed iteration count; smooth for gradient checks).
+    Row marginals are exact after each f-update, so only the columns are
+    tested: iterate k's column sums are nu * exp(lA_{k+1} - lA_k), read from
+    the next iteration's A half-step, and the plan is built once, at exit.
+    tol=0 disables early stopping (fixed iteration count; smooth for
+    gradient checks).
     """
+    Ct = np.ascontiguousarray(C.T)
     log_mu = np.log(mu)
     log_nu = np.log(nu)
-    f = np.zeros(C.shape[0])
+    f = np.zeros(Ct.shape[1])
+    A = (f - Ct) / eps
+    lA = _logsumexp(A, axis=1)
     history = [] if keep_history else None
     converged = False
-    viol = np.inf
-    it = 0
     for it in range(1, max_iter + 1):
-        A = (f[:, None] - C) / eps
-        lA = _logsumexp(A, axis=0)
         g = eps * (log_nu - lA)
-        B = (g[None, :] - C) / eps
-        lB = _logsumexp(B, axis=1)
+        B = (g[:, None] - Ct) / eps
+        lB = _logsumexp(B, axis=0)
         f = eps * (log_mu - lB)
         if keep_history:
             history.append((A, lA, B, lB))
-        P = np.exp((f[:, None] + g[None, :] - C) / eps)
-        viol = max(np.abs(P.sum(axis=0) - nu).max(),
-                   np.abs(P.sum(axis=1) - mu).max())
+        A = (f - Ct) / eps
+        lA_next = _logsumexp(A, axis=1)
+        viol = np.abs(nu * np.expm1(lA_next - lA)).max()
+        lA = lA_next
         if tol > 0 and viol <= tol:
             converged = True
             break
+    P = np.exp((f[:, None] + g - C) / eps)
     return P, history, it, viol, converged
 
 
@@ -100,7 +120,8 @@ def sinkhorn(cost, mu, nu, eps: float = 0.1, max_iter: int = 100,
 def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
                      tol: float) -> tuple[Tensor, TransportPlan]:
     """Differentiable transport plan; gradients flow to the cost matrix by
-    replaying the executed iterations in reverse."""
+    replaying the executed iterations in reverse, in the transposed layout
+    of `_sinkhorn_iterate`."""
     C = cost.data
     mu, nu = _check_marginals(mu, nu, C.shape[0], C.shape[1])
     P, history, it, viol, converged = _sinkhorn_iterate(
@@ -108,21 +129,19 @@ def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
     out = ad._wrap(P, cost.requires_grad, "sinkhorn")
     if out.requires_grad:
         def _bw(G, cost=cost, P=P, history=history, eps=eps):
-            dE = G * P
+            dE = np.ascontiguousarray((G * P).T)
             dC = -dE / eps
-            df = dE.sum(axis=1) / eps
-            dg = dE.sum(axis=0) / eps
+            df = _ordered_sum(dE, 0) / eps
+            dg = _ordered_sum(dE, 1) / eps
             for A, lA, B, lB in reversed(history):
-                sB = np.exp(B - lB[:, None])
-                T1 = df[:, None] * sB
+                T1 = np.exp(B - lB) * df
                 dC += T1
-                dg = dg - T1.sum(axis=0)
-                sA = np.exp(A - lA[None, :])
-                T2 = sA * dg[None, :]
+                dg = dg - _ordered_sum(T1, 1)
+                T2 = np.exp(A - lA[:, None]) * dg[:, None]
                 dC += T2
-                df = -T2.sum(axis=1)
+                df = -_ordered_sum(T2, 0)
                 dg = np.zeros_like(dg)
-            ad._acc(cost, dC)
+            ad._acc(cost, np.ascontiguousarray(dC.T))
         ad._record(out, _bw)
     info = TransportPlan(matrix=P, converged=converged, iterations=it,
                          violation=float(viol))

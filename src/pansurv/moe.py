@@ -56,16 +56,6 @@ def init_agent_params(d_model: int, n_cancers: int) -> dict:
     }
 
 
-def slice_expert_params(params: dict, index: int) -> dict:
-    """A single expert's weights as an N_e=1 stacked dict (copies)."""
-    out = dict(params)
-    for key, t in params.items():
-        if key.startswith("experts."):
-            out[key] = Tensor(t.data[index:index + 1].copy(),
-                              requires_grad=t.requires_grad, name=t.name)
-    return out
-
-
 def n_experts_of(params: dict) -> int:
     return params["experts.cls_w"].data.shape[0]
 
@@ -89,8 +79,8 @@ def experts_logits(fused_p: Tensor, fused_g: Tensor, txt: Tensor, params: dict,
 
 def expert_forward(fused_p: Tensor, fused_g: Tensor, txt: Tensor,
                    expert_params: dict, n_heads: int = 4) -> Tensor:
-    """One expert's hazard logits (n_bins,); expert_params is an N_e=1 stack
-    (see slice_expert_params)."""
+    """One expert's hazard logits (n_bins,); expert_params is an N_e=1 stack:
+    every `experts.*` weight has a leading axis of length 1."""
     if n_experts_of(expert_params) != 1:
         raise MoeError("expert_forward expects a single-expert parameter slice")
     logits = experts_logits(fused_p, fused_g, txt, expert_params, n_heads=n_heads)

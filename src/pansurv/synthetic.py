@@ -65,6 +65,20 @@ class CohortSpec:
     def validate(self):
         if not self.seed >= 0:
             raise SpecError(f"seed must be non-negative, got {self.seed}")
+        for name in ("gene_weights", "plant_shift", "cluster_effect", "cluster_prob",
+                     "cluster_frac", "cluster_shift", "baselines", "censoring_rate",
+                     "months_per_bin", "missing_group_rate"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SpecError(f"field {name} must be finite, got {getattr(self, name)}")
+        for name in ("d_patch", "months_per_bin", "max_bins"):
+            if not getattr(self, name) > 0:
+                raise SpecError(f"field {name} must be positive, got {getattr(self, name)}")
+        for name in ("cluster_prob", "cluster_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise SpecError(f"field {name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.missing_group_rate < 1.0:
+            raise SpecError(f"field missing_group_rate must lie in [0, 1), "
+                            f"got {self.missing_group_rate}")
         if self.cases_per_cancer < 10:
             raise SpecError("need at least 10 cases per cancer")
         if not (0.0 <= self.censoring_rate < 1.0):

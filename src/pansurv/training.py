@@ -53,6 +53,9 @@ class TrainConfig:
         check_positive(self, ("lr", "epochs", "accum_steps", "folds"))
         if not self.seed >= 0:
             raise ValueError(f"field seed must be non-negative, got {self.seed}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"field weight_decay must be finite and non-negative, "
+                             f"got {self.weight_decay}")
 
 
 def build_meta(config: TrainConfig, records, cancer_types=None) -> ModelMeta:

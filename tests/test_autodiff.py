@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pansurv import autodiff as ad
 from pansurv.optim import AdamW
 
-from conftest import gradcheck, max_rel_err
+from conftest import gradcheck, max_rel_err, numeric_gradient
 
 
 class TestMatmul:
@@ -143,7 +143,7 @@ class TestSever:
                 local = {k: ad.Tensor(a) for k, a in arrays.items()}
                 local[name] = ad.Tensor(v)
                 return self.build(local, r, severed_cut=cut0)[0].item()
-            numeric = ad.numeric_gradient(f, arr)
+            numeric = numeric_gradient(f, arr)
             assert max_rel_err(tensors[name].grad, numeric) < 1e-6, name
 
     def test_parked_gradients_survive_nested_sweep(self, rng):

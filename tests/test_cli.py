@@ -144,6 +144,36 @@ class TestSynth:
         seed = "-3" if source == "env" else "-1"
         assert f"cohort spec: seed must be non-negative, got {seed}" in proc.stderr
 
+    @pytest.mark.parametrize("setting, message", [
+        ("cluster_effect=nan", "field cluster_effect must be finite, got nan"),
+        ("plant_shift=inf", "field plant_shift must be finite, got inf"),
+        ("months_per_bin=-inf", "field months_per_bin must be finite, got -inf"),
+        ("d_patch=0", "field d_patch must be positive, got 0"),
+        ("months_per_bin=0", "field months_per_bin must be positive, got 0"),
+        ("max_bins=0", "field max_bins must be positive, got 0"),
+        ("cluster_prob=1.5", "field cluster_prob must lie in [0, 1], got 1.5"),
+        ("cluster_frac=-0.1", "field cluster_frac must lie in [0, 1], got -0.1"),
+        ("missing_group_rate=1", "field missing_group_rate must lie in [0, 1), got 1"),
+    ], ids=["nan-effect", "inf-shift", "inf-months", "zero-width", "zero-months",
+            "zero-bins", "prob", "frac", "missing-rate"])
+    def test_out_of_range_spec_value_exit_2(self, tmp_path, setting, message):
+        proc = run_cli("synth", "--set", setting, "--out", tmp_path / "out")
+        assert_error_line(proc, 2)
+        assert f"cohort spec: {message}" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gene_weights", [1.0, float("nan"), 0.6]),
+        ("baselines", [-2.0, float("-inf")]),
+    ], ids=["gene-weights", "baselines"])
+    def test_non_finite_element_in_spec_exit_2(self, tmp_path, field, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SPEC, field: value}))
+        proc = run_cli("synth", "--spec", spec_path, "--out", tmp_path / "out")
+        assert_error_line(proc, 2)
+        assert f"cohort spec: field {field} must be finite" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_binary_patch_sidecars(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**SPEC, "cases_per_cancer": 10}))
@@ -200,8 +230,12 @@ class TestTrain:
         ("sinkhorn_eps=1e308", "field sinkhorn_eps must lie in [1e-12, 1e+12], got 1e+308"),
         ("sinkhorn_tol=inf", "field sinkhorn_tol must be finite, got inf"),
         ("lr=inf", "field lr must be finite, got inf"),
+        ("weight_decay=nan", "field weight_decay must be finite and non-negative, got nan"),
+        ("weight_decay=inf", "field weight_decay must be finite and non-negative, got inf"),
+        ("weight_decay=-0.5",
+         "field weight_decay must be finite and non-negative, got -0.5"),
     ], ids=["seed", "text-table-seed", "inf-eps", "tiny-eps", "huge-eps", "inf-tol",
-            "inf-lr"])
+            "inf-lr", "nan-decay", "inf-decay", "negative-decay"])
     def test_out_of_range_setting_exit_2(self, workdir, tmp_path, setting, message):
         proc = run_cli("train", "--data", workdir / "cohort" / "cohort.jsonl",
                        "--config", workdir / "config.json", "--set", setting,

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pansurv import autodiff as ad
 from pansurv import fusion
@@ -21,20 +23,29 @@ def long_run_sinkhorn(C, mu, nu, eps, iters=20000):
     return u[:, None] * K * v[None, :]
 
 
+def row_logsumexp(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
 def recomputing_plan_gradient(C, mu, nu, eps, max_iter, tol, G):
-    """Reference replay that recomputes both log-sum-exps per iteration
-    from the stored potentials; returns the plan and d<G, P>/dC."""
+    """Reference on the (N_src, N_tgt) cost: the solver tests both marginals
+    of a plan built every iteration, and the replay recomputes both
+    log-sum-exps per iteration from the stored potentials. Returns the plan,
+    d<G, P>/dC, the iteration count and the converged flag."""
     log_mu, log_nu = np.log(mu), np.log(nu)
     f = np.zeros(C.shape[0])
     history = []
-    for _ in range(max_iter):
+    converged = False
+    for it in range(1, max_iter + 1):
         f_prev = f
-        g = eps * (log_nu - fusion._logsumexp((f_prev[:, None] - C) / eps, axis=0))
-        f = eps * (log_mu - fusion._logsumexp((g[None, :] - C) / eps, axis=1))
+        g = eps * (log_nu - row_logsumexp((f_prev[:, None] - C) / eps, axis=0))
+        f = eps * (log_mu - row_logsumexp((g[None, :] - C) / eps, axis=1))
         history.append((f_prev, g))
         P = np.exp((f[:, None] + g[None, :] - C) / eps)
         viol = max(np.abs(P.sum(axis=0) - nu).max(), np.abs(P.sum(axis=1) - mu).max())
         if tol > 0 and viol <= tol:
+            converged = True
             break
     dE = G * P
     dC = -dE / eps
@@ -42,17 +53,17 @@ def recomputing_plan_gradient(C, mu, nu, eps, max_iter, tol, G):
     dg = dE.sum(axis=0) / eps
     for f_prev, g in reversed(history):
         B = (g[None, :] - C) / eps
-        sB = np.exp(B - fusion._logsumexp(B, axis=1)[:, None])
+        sB = np.exp(B - row_logsumexp(B, axis=1)[:, None])
         T1 = df[:, None] * sB
         dC += T1
         dg = dg - T1.sum(axis=0)
         A = (f_prev[:, None] - C) / eps
-        sA = np.exp(A - fusion._logsumexp(A, axis=0)[None, :])
+        sA = np.exp(A - row_logsumexp(A, axis=0)[None, :])
         T2 = sA * dg[None, :]
         dC += T2
         df = -T2.sum(axis=1)
         dg = np.zeros_like(dg)
-    return P, dC
+    return P, dC, it, converged
 
 
 class TestSinkhorn:
@@ -162,9 +173,43 @@ class TestSinkhorn:
             loss = ad.tsum(ad.mul(plan, G))
         ad.backward(tape, loss)
         assert info.converged == (tol > 0)
-        P_ref, dC_ref = recomputing_plan_gradient(C, mu, nu, 0.1, max_iter, tol, G)
+        P_ref, dC_ref, _, _ = recomputing_plan_gradient(C, mu, nu, 0.1, max_iter, tol, G)
         assert np.array_equal(plan.data, P_ref)
         assert np.array_equal(cost.grad, dC_ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 1024), m=st.integers(1, 6),
+       eps=st.sampled_from([0.03, 0.1, 1.0]), tol=st.sampled_from([0.0, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_transposed_solver_matches_row_layout_oracle(n, m, eps, tol, seed):
+    rng = np.random.default_rng(seed)
+    C = 1.0 - rng.uniform(-1.0, 1.0, (n, m))
+    mu, nu = rng.random(n) + 0.1, rng.random(m) + 0.1
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    G = rng.standard_normal((n, m))
+    cost = ad.Tensor(C, requires_grad=True)
+    with ad.tape_scope() as tape:
+        plan, info = fusion.sinkhorn_plan_op(cost, mu, nu, eps=eps, max_iter=100, tol=tol)
+        loss = ad.tsum(ad.mul(plan, G))
+    ad.backward(tape, loss)
+    P_ref, dC_ref, it_ref, converged_ref = recomputing_plan_gradient(
+        C, mu, nu, eps, 100, tol, G)
+    assert (info.iterations, info.converged) == (it_ref, converged_ref)
+    if m > 1:
+        # numpy sums the oracle's strided source axis and its rows of up to 7
+        # targets in index order, as the solver does: the bits agree
+        assert np.array_equal(plan.data, P_ref)
+        assert np.array_equal(cost.grad, dC_ref)
+    else:
+        # one target makes the oracle's source axis contiguous, summed
+        # pairwise; the plan is then mu whatever the cost, so the gradient is
+        # rounding, measured against |G * P| / eps, the scale of its terms
+        assert np.abs(plan.data - P_ref).max() <= 1e-12 * P_ref.max()
+        assert np.abs(cost.grad - dC_ref).max() <= 1e-12 * np.abs(G * P_ref).max() / eps
+    true_violation = max(np.abs(plan.data.sum(axis=0) - nu).max(),
+                         np.abs(plan.data.sum(axis=1) - mu).max())
+    assert abs(info.violation - true_violation) <= 1e-14
 
 
 class TestOtAlign:

@@ -23,6 +23,16 @@ def feats(rng):
     }
 
 
+def slice_expert_params(params: dict, index: int) -> dict:
+    """A single expert's weights as an N_e=1 stacked dict (copies)."""
+    out = dict(params)
+    for key, t in params.items():
+        if key.startswith("experts."):
+            out[key] = ad.Tensor(t.data[index:index + 1].copy(),
+                                 requires_grad=t.requires_grad, name=t.name)
+    return out
+
+
 def full_params(rng, n_experts, randomize_heads=True):
     p = moe.init_expert_params(rng, D, NB, n_experts)
     p.update(moe.init_gate_params(D, n_experts))
@@ -37,14 +47,14 @@ def full_params(rng, n_experts, randomize_heads=True):
 class TestExpertForward:
     def test_zero_classifier_gives_zero_logits(self, rng, feats):
         p = full_params(rng, 3, randomize_heads=False)
-        single = moe.slice_expert_params(p, 1)
+        single = slice_expert_params(p, 1)
         out = moe.expert_forward(feats["fused_p"], feats["fused_g"], feats["txt"], single)
         np.testing.assert_array_equal(out.data, np.zeros(NB))
 
     def test_output_length(self, rng, feats):
         p = full_params(rng, 2)
         out = moe.expert_forward(feats["fused_p"], feats["fused_g"], feats["txt"],
-                                 moe.slice_expert_params(p, 0))
+                                 slice_expert_params(p, 0))
         assert out.data.shape == (NB,)
 
     def test_gradient_wrt_text(self, rng):
@@ -111,7 +121,7 @@ class TestGmoeHazard:
                               feats["cancer"], feats["diag"], p)
         manual_logits = np.stack([
             moe.expert_forward(feats["fused_p"], feats["fused_g"], feats["txt"],
-                               moe.slice_expert_params(p, e)).data
+                               slice_expert_params(p, e)).data
             for e in range(3)])
         np.testing.assert_allclose(out.expert_logits.data, manual_logits, atol=1e-12)
         mixed = out.gate.data @ manual_logits
