@@ -65,9 +65,8 @@ class CohortSpec:
     def validate(self):
         if not self.seed >= 0:
             raise SpecError(f"seed must be non-negative, got {self.seed}")
-        for name in ("gene_weights", "plant_shift", "cluster_effect", "cluster_prob",
-                     "cluster_frac", "cluster_shift", "baselines", "censoring_rate",
-                     "months_per_bin", "missing_group_rate"):
+        for name in ("gene_weights", "plant_shift", "cluster_effect", "cluster_shift",
+                     "baselines", "months_per_bin"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise SpecError(f"field {name} must be finite, got {getattr(self, name)}")
         for name in ("d_patch", "months_per_bin", "max_bins"):

@@ -160,56 +160,43 @@ class TestSinkhorn:
 
         gradcheck(build, {"C": C}, tol=1e-5)
 
-    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("n", [1, 7, 32, 129, 1000])
     @pytest.mark.parametrize("tol,max_iter", [(1e-6, 100), (0.0, 25)])
-    def test_cached_replay_equals_recomputing_replay(self, rng, n, tol, max_iter):
-        C = 1.0 - rng.uniform(-1.0, 1.0, (n, 4))
-        mu, nu = np.full(n, 1.0 / n), np.full(4, 0.25)
-        G = rng.standard_normal((n, 4))
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 6), eps=st.sampled_from([0.03, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cached_replay_equals_recomputing_replay(self, n, tol, max_iter, m, eps, seed):
+        rng = np.random.default_rng(seed)
+        C = 1.0 - rng.uniform(-1.0, 1.0, (n, m))
+        mu, nu = rng.random(n) + 0.1, rng.random(m) + 0.1
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        G = rng.standard_normal((n, m))
         cost = ad.Tensor(C, requires_grad=True)
         with ad.tape_scope() as tape:
-            plan, info = fusion.sinkhorn_plan_op(cost, mu, nu, eps=0.1,
+            plan, info = fusion.sinkhorn_plan_op(cost, mu, nu, eps=eps,
                                                  max_iter=max_iter, tol=tol)
             loss = ad.tsum(ad.mul(plan, G))
         ad.backward(tape, loss)
-        assert info.converged == (tol > 0)
-        P_ref, dC_ref, _, _ = recomputing_plan_gradient(C, mu, nu, 0.1, max_iter, tol, G)
-        assert np.array_equal(plan.data, P_ref)
-        assert np.array_equal(cost.grad, dC_ref)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 1024), m=st.integers(1, 6),
-       eps=st.sampled_from([0.03, 0.1, 1.0]), tol=st.sampled_from([0.0, 1e-6]),
-       seed=st.integers(0, 2**32 - 1))
-def test_transposed_solver_matches_row_layout_oracle(n, m, eps, tol, seed):
-    rng = np.random.default_rng(seed)
-    C = 1.0 - rng.uniform(-1.0, 1.0, (n, m))
-    mu, nu = rng.random(n) + 0.1, rng.random(m) + 0.1
-    mu, nu = mu / mu.sum(), nu / nu.sum()
-    G = rng.standard_normal((n, m))
-    cost = ad.Tensor(C, requires_grad=True)
-    with ad.tape_scope() as tape:
-        plan, info = fusion.sinkhorn_plan_op(cost, mu, nu, eps=eps, max_iter=100, tol=tol)
-        loss = ad.tsum(ad.mul(plan, G))
-    ad.backward(tape, loss)
-    P_ref, dC_ref, it_ref, converged_ref = recomputing_plan_gradient(
-        C, mu, nu, eps, 100, tol, G)
-    assert (info.iterations, info.converged) == (it_ref, converged_ref)
-    if m > 1:
-        # numpy sums the oracle's strided source axis and its rows of up to 7
-        # targets in index order, as the solver does: the bits agree
-        assert np.array_equal(plan.data, P_ref)
-        assert np.array_equal(cost.grad, dC_ref)
-    else:
-        # one target makes the oracle's source axis contiguous, summed
-        # pairwise; the plan is then mu whatever the cost, so the gradient is
-        # rounding, measured against |G * P| / eps, the scale of its terms
-        assert np.abs(plan.data - P_ref).max() <= 1e-12 * P_ref.max()
-        assert np.abs(cost.grad - dC_ref).max() <= 1e-12 * np.abs(G * P_ref).max() / eps
-    true_violation = max(np.abs(plan.data.sum(axis=0) - nu).max(),
-                         np.abs(plan.data.sum(axis=1) - mu).max())
-    assert abs(info.violation - true_violation) <= 1e-14
+        P_ref, dC_ref, it_ref, converged_ref = recomputing_plan_gradient(
+            C, mu, nu, eps, max_iter, tol, G)
+        assert (info.iterations, info.converged) == (it_ref, converged_ref)
+        if tol == 0:
+            assert (info.iterations, info.converged) == (max_iter, False)
+        if m > 1:
+            # numpy sums the oracle's strided source axis and its rows of up
+            # to 7 targets in index order, as the solver does: the bits agree
+            assert np.array_equal(plan.data, P_ref)
+            assert np.array_equal(cost.grad, dC_ref)
+        else:
+            # one target makes the oracle's source axis contiguous, summed
+            # pairwise; the plan is then mu whatever the cost, so the gradient
+            # is rounding, measured against |G * P| / eps, the scale of its terms
+            assert np.abs(plan.data - P_ref).max() <= 1e-12 * P_ref.max()
+            assert (np.abs(cost.grad - dC_ref).max()
+                    <= 1e-12 * np.abs(G * P_ref).max() / eps)
+        true_violation = max(np.abs(plan.data.sum(axis=0) - nu).max(),
+                             np.abs(plan.data.sum(axis=1) - mu).max())
+        assert abs(info.violation - true_violation) <= 1e-14
 
 
 class TestOtAlign:

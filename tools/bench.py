@@ -1,15 +1,15 @@
 """Perf trajectory: perfbench's end-to-end metrics of this checkout against
 another git revision, in alternating pairs.
 
-    python3 tools/bench.py --against REV --out BENCH_<n>.json [--pairs 3]
-                           [--traced-pairs 1]
+    python3 tools/bench.py --against REV --out BENCH_<n>.json
 
 REV is extracted with `git archive` into a temporary directory. For each
-workload of BENCHMARK.json, pair i runs its command (`python3
+workload of BENCHMARK.json, pair i = 1..PAIRS runs its command (`python3
 perfbench/run.py`) with `--workload W --seed i --seconds S --trace 0`, S
 being the file's `run_seconds`, once in REV's tree and once in this
 checkout, in alternating order (REV first on odd pairs), so a slow stretch
-of the machine lands on both sides. `--traced-pairs` more pairs run with
+of the machine lands on both sides. PAIRS is 10, the fewest pairs on which a
+gain can be shown better in nine of ten. TRACED_PAIRS more pairs run with
 `--trace 1` for the per-layer metrics. The output file holds, per workload,
 side and metric, the median, the quartiles and every value, the failed
 operation counts, per end-to-end metric the number of pairs in which this
@@ -33,6 +33,8 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+TRACED_PAIRS = 1
 
 
 def git(*args) -> str:
@@ -97,11 +99,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--traced-pairs", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.traced_pairs < 0:
-        parser.error("need --pairs >= 1 and --traced-pairs >= 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     against_sha = git("rev-parse", args.against + "^{commit}")
@@ -109,13 +107,13 @@ def main(argv=None) -> int:
               "checkout": {"sha": checkout_sha()},
               "nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__,
               "python": sys.version.split()[0], "seconds": bench["run_seconds"],
-              "pairs": args.pairs, "traced_pairs": args.traced_pairs, "workloads": {}}
+              "pairs": PAIRS, "traced_pairs": TRACED_PAIRS, "workloads": {}}
     scratch = tempfile.mkdtemp(prefix="pansurv-bench-")
     try:
         trees = {"against": extract(against_sha, scratch), "checkout": ROOT}
         for workload in (w["name"] for w in bench["workloads"]):
             runs = {side: {0: [], 1: []} for side in trees}
-            for trace, count in ((0, args.pairs), (1, args.traced_pairs)):
+            for trace, count in ((0, PAIRS), (1, TRACED_PAIRS)):
                 for seed in range(1, count + 1):
                     order = ("against", "checkout") if seed % 2 else ("checkout", "against")
                     for side in order:
