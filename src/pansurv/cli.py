@@ -113,7 +113,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     records = bags.read_cohort(_require_file(args.data, "cohort"))
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    metrics, _ = tr.evaluate(records, model)
+    metrics, details = tr.evaluate(records, model)
+    if args.risks:
+        rows = [{"id": i, "risk": r} for i, r in zip(details["ids"], details["risks"])]
+        with open(args.risks, "w") as fh:
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
     if args.out:
         sv.dump_metrics(args.out, metrics)
         print(f"wrote metrics to {args.out}")
@@ -249,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", help="metrics JSON path (stdout when omitted)")
+    p.add_argument("--risks", help="per-patient risks JSON path, as km --risks reads")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explain", help="gene CAM rankings per cancer type")

@@ -1,20 +1,20 @@
 """Cross-modal alignment via entropic optimal transport plus text-guided
 transformer decoding.
 
-The Sinkhorn solver runs in the log domain and is exposed two ways: as a
+The Sinkhorn solver scales a kernel by vectors (Cuturi 2013, "Sinkhorn
+Distances"), absorbing a scaling into the log-domain potentials whenever it
+leaves a fixed range (Schmitzer 2019, "Stabilized Sparse Scaling
+Algorithms for Entropy Regularized Transport Problems"), so small eps
+neither overflows nor empties the kernel. It is exposed two ways: as a
 plain solver returning a TransportPlan, and as a differentiable graph
 primitive whose backward replays the executed iterations in reverse
-(unrolled-iteration gradients). Both run on the transposed cost, made
-contiguous with shape (N_tgt, N_src), so each log-sum-exp reduces a
-contiguous axis; sums still run in index order, so plans and gradients
-keep the bits of the (N_src, N_tgt) layout. Rows are exact after each
-f-update, so convergence is judged on the columns alone, read from the
-next iteration's log-sum-exp over sources, and the plan is built once, at
-exit. The forward keeps, per iteration, the scaled matrices
-(f - C)/eps and (g - C)/eps with their log-sum-exps, so the replay reuses
-them instead of recomputing (same expressions, same bits). The ground cost
-is 1 - cosine similarity on a shared learned projection; marginals are
-uniform.
+(unrolled-iteration gradients). Rows are exact after each u-update, so
+convergence is judged on the columns alone, read from the next
+iteration's first matrix-vector product, and the plan is built once, at
+exit. The forward keeps, per iteration, only the scaling vectors and the
+kernel each half-step used; the replay rebuilds the conditionals from
+them. The ground cost is 1 - cosine similarity on a shared learned
+projection; marginals are uniform.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ class TransportPlan:
     violation: float        # max column violation at exit (rows are exact)
 
 
-def _ordered_sum(x, axis):
-    """Sum along `axis` (0 or 1) of a matrix in index order. numpy sums a strided
-    axis in order but a contiguous one pairwise, so on the transposed cost
-    a plain sum over sources would round differently from the
-    (N_src, N_tgt) layout, and training amplifies last-bit differences."""
-    return np.add.accumulate(x, axis=1)[:, -1] if axis == 1 else x.sum(axis=0)
+# A scaling outside [1/TAU, TAU] is absorbed into the potentials. A kernel
+# rebuilt by a log-sum-exp half-step is at most 1, so products of accepted
+# scalings and kernel entries stay far from overflow, and every entry that
+# carries plan mass stays far above the subnormal range.
+TAU = 1e100
 
 
 def _logsumexp(a, axis):
     m = a.max(axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(_ordered_sum(np.exp(a - m), axis))
+    return m.squeeze(axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
 def _check_marginals(mu, nu, n, m):
@@ -63,41 +62,64 @@ def _check_marginals(mu, nu, n, m):
     return mu, nu
 
 
-def _sinkhorn_iterate(C, mu, nu, eps, max_iter, tol, keep_history):
-    """Log-domain Sinkhorn-Knopp scaling of exp(-C/eps), iterated on the
-    transposed cost Ct = C.T, contiguous with shape (N_tgt, N_src), so the
-    log-sum-exp over sources reduces axis 1 and the one over targets axis 0.
-    The history holds (A, lA, B, lB) in that layout.
+def _scaling(marginal, k):
+    """marginal / k, or None when a scaling is not finite or leaves
+    [1/TAU, TAU] (NaN fails both comparisons)."""
+    s = marginal / k
+    return s if 1 / TAU <= s.min() and s.max() <= TAU else None
 
-    Row marginals are exact after each f-update, so only the columns are
-    tested: iterate k's column sums are nu * exp(lA_{k+1} - lA_k), read from
-    the next iteration's A half-step, and the plan is built once, at exit.
+
+def _sinkhorn_iterate(C, mu, nu, eps, max_iter, tol, keep_history):
+    """Sinkhorn-Knopp matrix scaling (Cuturi 2013) with absorption
+    (Schmitzer 2019). The plan is u_i K_ij v_j on the kernel
+    K = exp((f_i + g_j - C_ij) / eps) of the absorbed potentials f and g,
+    which start at 0. An iteration is v = nu / (K^T u), then u = mu / (K v):
+    two matrix-vector products. A half-step whose new scaling `_scaling`
+    refuses is redone in the log domain: the other scaling is absorbed into
+    its potential and set to 1, this side's potential comes from a
+    log-sum-exp, and K is rebuilt from both, so its columns (or rows) sum to
+    the marginal and it cannot overflow; the new scaling, near 1, is then
+    taken on the rebuilt K, which keeps the rows exact.
+
+    Row marginals are exact after each u-update, so only the columns are
+    tested: iterate k's column sums v * (K^T u), with K^T u read from the
+    next iteration's v half-step, and the plan is built once, at exit.
     tol=0 disables early stopping (fixed iteration count; smooth for
-    gradient checks).
+    gradient checks). The history holds, per iteration, the kernel and the
+    vectors (u_prev, v) of the v half-step, then those (u, v) of the
+    u half-step: each half-step's conditional is u K v / marginal.
     """
-    Ct = np.ascontiguousarray(C.T)
-    log_mu = np.log(mu)
-    log_nu = np.log(nu)
-    f = np.zeros(Ct.shape[1])
-    A = (f - Ct) / eps
-    lA = _logsumexp(A, axis=1)
+    n, m = C.shape
+    f, g = np.zeros(n), np.zeros(m)
+    u = np.ones(n)
     history = [] if keep_history else None
     converged = False
-    for it in range(1, max_iter + 1):
-        g = eps * (log_nu - lA)
-        B = (g[:, None] - Ct) / eps
-        lB = _logsumexp(B, axis=0)
-        f = eps * (log_mu - lB)
-        if keep_history:
-            history.append((A, lA, B, lB))
-        A = (f - Ct) / eps
-        lA_next = _logsumexp(A, axis=1)
-        viol = np.abs(nu * np.expm1(lA_next - lA)).max()
-        lA = lA_next
-        if tol > 0 and viol <= tol:
-            converged = True
-            break
-    P = np.exp((f[:, None] + g - C) / eps)
+    # an overflowing kernel or a zero product only yields a refused scaling
+    with np.errstate(over="ignore", divide="ignore"):
+        K = np.exp(-C / eps)
+        Ktu = u @ K
+        for it in range(1, max_iter + 1):
+            v = _scaling(nu, Ktu)
+            if v is None:
+                f, u = f + eps * np.log(u), np.ones(n)
+                g = eps * (np.log(nu) - _logsumexp((f[:, None] - C) / eps, 0))
+                K = np.exp((f[:, None] + g - C) / eps)
+                v = nu / (u @ K)
+            step = (K, u, v)
+            u = _scaling(mu, K @ v)
+            if u is None:
+                g, v = g + eps * np.log(v), np.ones(m)
+                f = eps * (np.log(mu) - _logsumexp((g - C) / eps, 1))
+                K = np.exp((f[:, None] + g - C) / eps)
+                u = mu / (K @ v)
+            if keep_history:
+                history.append(step + (K, u, v))
+            Ktu = u @ K
+            viol = np.abs(v * Ktu - nu).max()
+            if tol > 0 and viol <= tol:
+                converged = True
+                break
+    P = u[:, None] * K * v
     return P, history, it, viol, converged
 
 
@@ -120,8 +142,11 @@ def sinkhorn(cost, mu, nu, eps: float = 0.1, max_iter: int = 100,
 def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
                      tol: float) -> tuple[Tensor, TransportPlan]:
     """Differentiable transport plan; gradients flow to the cost matrix by
-    replaying the executed iterations in reverse, in the transposed layout
-    of `_sinkhorn_iterate`."""
+    replaying the executed iterations in reverse. The replay rebuilds each
+    half-step's conditional u K v / marginal from the stored vectors, so its
+    loop is two matrix-vector products per iteration; the outer products
+    that dC needs are summed per kernel and multiplied by it once, at the
+    end."""
     C = cost.data
     mu, nu = _check_marginals(mu, nu, C.shape[0], C.shape[1])
     P, history, it, viol, converged = _sinkhorn_iterate(
@@ -129,19 +154,23 @@ def sinkhorn_plan_op(cost: Tensor, mu, nu, eps: float, max_iter: int,
     out = ad._wrap(P, cost.requires_grad, "sinkhorn")
     if out.requires_grad:
         def _bw(G, cost=cost, P=P, history=history, eps=eps):
-            dE = np.ascontiguousarray((G * P).T)
+            dE = G * P
+            df, dg = dE.sum(axis=1) / eps, dE.sum(axis=0) / eps
+            outer = {}          # id(K) -> (K, left vectors, right vectors)
+            for Ka, u_prev, v, Kb, u, vb in reversed(history):
+                a = u * df / mu
+                dg = dg - vb * (a @ Kb)
+                c = v * dg / nu
+                df = -u_prev * (Ka @ c)
+                dg = 0.0
+                for K, x, y in ((Kb, a, vb), (Ka, u_prev, c)):
+                    _, xs, ys = outer.setdefault(id(K), (K, [], []))
+                    xs.append(x)
+                    ys.append(y)
             dC = -dE / eps
-            df = _ordered_sum(dE, 0) / eps
-            dg = _ordered_sum(dE, 1) / eps
-            for A, lA, B, lB in reversed(history):
-                T1 = np.exp(B - lB) * df
-                dC += T1
-                dg = dg - _ordered_sum(T1, 1)
-                T2 = np.exp(A - lA[:, None]) * dg[:, None]
-                dC += T2
-                df = -_ordered_sum(T2, 0)
-                dg = np.zeros_like(dg)
-            ad._acc(cost, np.ascontiguousarray(dC.T))
+            for K, xs, ys in outer.values():
+                dC += K * (np.array(xs).T @ np.array(ys))
+            ad._acc(cost, dC)
         ad._record(out, _bw)
     info = TransportPlan(matrix=P, converged=converged, iterations=it,
                          violation=float(viol))

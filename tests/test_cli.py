@@ -508,6 +508,20 @@ class TestKm:
         svg = (out / "km.svg").read_text()
         assert "logrank p = 1" in svg
 
+    def test_eval_risks_give_the_checkpoint_curves(self, workdir, tmp_path):
+        data = str(workdir / "cohort" / "cohort.jsonl")
+        ckpt = str(workdir / "run" / "fold_0.ckpt")
+        risks = tmp_path / "risks.json"
+        assert main(["eval", "--data", data, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "metrics.json"), "--risks", str(risks)]) == 0
+        rows = json.loads(risks.read_text())
+        assert [row["id"] for row in rows] == [rec.id for rec in bags.read_cohort(data)]
+        for flag, source, out in (("--checkpoint", ckpt, tmp_path / "a"),
+                                  ("--risks", str(risks), tmp_path / "b")):
+            assert main(["km", "--data", data, flag, source, "--out", str(out)]) == 0
+        for name in ("km.csv", "km.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_requires_exactly_one_source(self, workdir, tmp_path):
         assert main(["km", "--data", str(workdir / "cohort" / "cohort.jsonl"),
                      "--out", str(tmp_path / "km2")]) == 2
